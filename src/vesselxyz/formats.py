@@ -49,9 +49,7 @@ def read_pgm(path) -> SegMask:
             raise MalformedHeader(f"{path}: non-numeric PGM header field") from e
         if maxval != 255:
             raise MalformedHeader(f"{path}: only maxval 255 is supported, got {maxval}")
-        payload = f.read(width * height)
-    if len(payload) < width * height:
-        raise TruncatedPayload(f"{path}: expected {width * height} bytes, got {len(payload)}")
+        payload = _read_payload(f, path, width, height, 1)
     values = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return SegMask(values >= 128)
 
@@ -68,6 +66,17 @@ def _read_token(f) -> bytes:
                 return token
             continue
         token += c
+
+
+def _read_payload(f, path, width: int, height: int, pixel_bytes: int) -> bytes:
+    """The declared payload, after checking the header against the file size."""
+    if width <= 0 or height <= 0:
+        raise MalformedHeader(f"{path}: non-positive size {width}x{height} in header")
+    size = width * height * pixel_bytes
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise TruncatedPayload(f"{path}: expected {size} payload bytes, got {left}")
+    return f.read(size)
 
 
 def write_pfm(path, m) -> None:
@@ -103,10 +112,7 @@ def _read_pfm_raw(path):
             raise MalformedHeader(f"{path}: non-numeric PFM header field") from e
         if scale == 0.0:
             raise MalformedHeader(f"{path}: zero scale")
-        count = width * height * channels
-        payload = f.read(count * 4)
-    if len(payload) < count * 4:
-        raise TruncatedPayload(f"{path}: expected {count * 4} payload bytes, got {len(payload)}")
+        payload = _read_payload(f, path, width, height, channels * 4)
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     shape = (height, width) if channels == 1 else (height, width, channels)

@@ -199,7 +199,6 @@ class PairSet:
     second: np.ndarray  # (N,) int64 flat indices
     dilations: tuple
     shape: tuple  # (H, W) of the originating mask
-    axis_count: int = 3
 
     def __post_init__(self):
         a = np.asarray(self.first, dtype=np.int64)

@@ -210,6 +210,24 @@ class TestEval:
         code = main(["eval", "--gt", str(empty), "--pred", str(empty), "--mode", "vessel-scale"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "name, blob",
+        [
+            ("1_vessel_xyz.pfm", b"PF\n100000 100000\n-1.0\n" + bytes(64)),
+            ("1_vessel_xyz.pfm", b"PF\n4 0\n-1.0\n" + bytes(64)),
+            ("1_vessel_mask.pgm", b"P5\n-4 4\n255\n" + bytes(16)),
+            ("1_vessel_mask.pgm", b"P5\n100000 100000\n255\n" + bytes(16)),
+        ],
+        ids=["pfm-huge", "pfm-zero-height", "pgm-negative-width", "pgm-huge"],
+    )
+    def test_bad_header_sizes_are_data_errors(self, gt_batch, tmp_path, capsys, name, blob):
+        gt = tmp_path / "gt"
+        shutil.copytree(gt_batch, gt)
+        (gt / name).write_bytes(blob)
+        code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "content-scale"])
+        assert code == EXIT_DATA
+        assert name in capsys.readouterr().err
+
 
 class TestLoss:
     def test_identical_maps(self, gt_batch, capsys):

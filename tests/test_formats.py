@@ -97,6 +97,20 @@ class TestPfm:
         with pytest.raises(TruncatedPayload):
             read_depth_pfm(path)
 
+    @pytest.mark.parametrize("size", ["0 4", "4 0", "-4 4", "4 -4", "-4 -4"])
+    def test_nonpositive_size_rejected(self, tmp_path, size):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(f"Pf\n{size}\n-1.0\n".encode() + bytes(64))
+        with pytest.raises(MalformedHeader):
+            read_depth_pfm(path)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # 100000 x 100000 x 3 floats would be 120 GB; the file holds 64 bytes
+        path = tmp_path / "x.pfm"
+        path.write_bytes(b"PF\n100000 100000\n-1.0\n" + bytes(64))
+        with pytest.raises(TruncatedPayload, match="120000000000"):
+            read_xyz_pfm(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P6\n2 2\n-1.0\n" + b"\x00" * 16)
@@ -154,6 +168,19 @@ class TestPgm:
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\xff" * 7)
         with pytest.raises(TruncatedPayload):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("size", ["0 4", "4 0", "-4 4", "4 -4", "-4 -4"])
+    def test_nonpositive_size_rejected(self, tmp_path, size):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(f"P5\n{size}\n255\n".encode() + b"\xff" * 16)
+        with pytest.raises(MalformedHeader):
+            read_pgm(path)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n100000 100000\n255\n" + b"\xff" * 16)
+        with pytest.raises(TruncatedPayload, match="10000000000"):
             read_pgm(path)
 
 

@@ -1,9 +1,12 @@
 """Evaluation metrics: hand fixtures, statistical calibration, oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselxyz import (
     DegenerateGT,
@@ -38,6 +41,23 @@ from conftest import (
 
 def full_mask(h, w):
     return SegMask(np.ones((h, w), bool))
+
+
+def brute_max_dst(pts) -> float:
+    """Diameter over every pair, in the oracle's ((dx^2 + dy^2) + dz^2) order."""
+    pts = np.asarray(pts, dtype=np.float64)
+    best = 0.0
+    rows = max(1, (1 << 20) // len(pts))
+    for i in range(0, len(pts), rows):
+        d = pts[i : i + rows, None, :] - pts[None, :, :]
+        x, y, z = d[..., 0], d[..., 1], d[..., 2]
+        best = max(best, float(np.max((x * x + y * y) + z * z)))
+    return math.sqrt(best)
+
+
+def assert_exact_diameter(pts):
+    m, mask = points_map(pts)
+    assert max_dst(m, mask) == brute_max_dst(pts)
 
 
 def points_map(pts) -> tuple:
@@ -133,18 +153,79 @@ class TestMaxDst:
         with pytest.raises(TooFewPoints):
             max_dst(m, mask)
 
-    def test_subsample_is_deterministic_lower_bound(self):
+    def test_exact_above_old_subsample_cap(self):
+        # 5041 points: above the 5000-point cap of the former subsampled path
         rng = np.random.default_rng(6)
-        h, w = 90, 90  # 8100 points, above the exact-path cap
-        m = random_xyz(rng, h, w, scale=1.0)
-        a = max_dst(m, full_mask(h, w))
-        b = max_dst(m, full_mask(h, w))
-        assert a == b
-        # true diameter bounded below by the subsampled one
-        pts = m.coords.reshape(-1, 3)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        assert a <= math.dist(lo, hi) + 1e-12
+        m = random_xyz(rng, 71, 71, scale=1.0)
+        expected = oracle_max_dst(m, full_mask(71, 71))
+        assert max_dst(m, full_mask(71, 71)) == expected
+        assert brute_max_dst(m.coords.reshape(-1, 3)) == expected
+
+    def test_sphere(self):
+        rng = np.random.default_rng(30)
+        d = rng.normal(size=(4000, 3))
+        assert_exact_diameter(d / np.linalg.norm(d, axis=1, keepdims=True))
+
+    def test_cocircular_ring(self):
+        # an opening rim: many near-antipodal pairs within rounding of each other
+        a = np.linspace(0.0, 2.0 * np.pi, 3001)[:-1]
+        ring = np.stack([0.04 * np.cos(a), 0.04 * np.sin(a), np.full_like(a, 0.7)], axis=1)
+        assert_exact_diameter(ring @ random_rotation(np.random.default_rng(31)).T)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(32)
+        pts = np.repeat(rng.uniform(-1.0, 1.0, (500, 3)), 4, axis=0)
+        assert_exact_diameter(pts[rng.permutation(len(pts))])
+
+    def test_all_points_coincide_is_zero_and_fast(self):
+        # a quadratic pass over 40k points would take seconds
+        m, mask = points_map(np.tile([0.25, -1.5, 3.0], (40000, 1)))
+        start = time.perf_counter()
+        assert max_dst(m, mask) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_collinear_off_axis(self):
+        rng = np.random.default_rng(33)
+        t = rng.uniform(-2.0, 2.0, (3000, 1))
+        assert_exact_diameter(np.array([0.3, -0.1, 1.2]) + t * np.array([0.48, 0.6, 0.64]))
+
+    def test_float32_planar_disk(self):
+        rng = np.random.default_rng(34)
+        r = 0.05 * np.sqrt(rng.uniform(size=5000))
+        a = rng.uniform(0.0, 2.0 * np.pi, 5000)
+        disk = np.stack([r * np.cos(a), r * np.sin(a), np.zeros_like(a)], axis=1)
+        disk = disk @ random_rotation(rng).T + np.array([0.1, -0.2, 0.9])
+        assert_exact_diameter(disk.astype(np.float32).astype(np.float64))
+
+    def test_small_cloud_far_from_origin(self):
+        rng = np.random.default_rng(35)
+        assert_exact_diameter(1e3 + rng.uniform(0.0, 2e-3, (3000, 3)))
+
+    def test_subnormal_extent(self):
+        # the squares underflow to zero, and binning must not overflow
+        assert_exact_diameter([[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [1e-310, -2e-310, 0.0]])
+
+    def test_uniform_cube(self):
+        rng = np.random.default_rng(36)
+        assert_exact_diameter(rng.uniform(-1.0, 1.0, (6000, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 3),
+            min_size=2,
+            max_size=300,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_pixel_permutation_invariant(self, pts, rand):
+        m, mask = points_map(pts)
+        order = list(range(len(pts)))
+        rand.shuffle(order)
+        shuffled, _ = points_map([pts[i] for i in order])
+        value = max_dst(m, mask)
+        assert max_dst(shuffled, mask) == value
+        assert value == brute_max_dst(m.coords[0])
 
 
 class TestRSquared:
