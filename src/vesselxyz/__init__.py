@@ -19,6 +19,7 @@ from .errors import (
     InvalidEndpoint,
     InvalidResolution,
     MalformedHeader,
+    MalformedManifest,
     MissingPrediction,
     NonPositiveDepth,
     TooFewPoints,
@@ -27,9 +28,11 @@ from .errors import (
 )
 from .geometry import (
     DepthMap,
+    MaterialVector,
     PairSet,
     PinholeCamera,
     SegMask,
+    TriMesh,
     XyzMap,
     build_pair_set,
     default_dilations,
@@ -49,7 +52,6 @@ from .losses import (
 from .metrics import (
     EvalReport,
     MaterialErrors,
-    MaterialVector,
     SegReport,
     SimilarityTransform,
     align_prediction,
@@ -71,7 +73,6 @@ from .procgen import (
     SceneConfig,
     SceneRecord,
     SinusoidTerm,
-    TriMesh,
     VesselProfile,
     assemble_scene,
     enclosed_volume,
@@ -83,11 +84,10 @@ from .procgen import (
     scene_violations,
     surface_area,
 )
-from .bvh import Bvh, Hit, build_bvh, bvh_intersect, intersect_rays, intersect_rays_brute
+from .bvh import Bvh, build_bvh, intersect_rays, intersect_rays_brute
 from .renderer import RenderOutput, clean_depth, render_depth, render_scene
 from .formats import (
     read_depth_pfm,
-    read_pfm,
     read_pgm,
     read_xyz_pfm,
     write_obj,

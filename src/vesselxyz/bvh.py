@@ -14,21 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyScene
-from .geometry import _frozen
-from .procgen import TriMesh
+from .geometry import TriMesh, _frozen
 
 LEAF_SIZE = 8
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
-
-
-@dataclass(frozen=True)
-class Hit:
-    """Nearest intersection along one ray."""
-
-    t: float
-    triangle: int
-    u: float
-    v: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +40,7 @@ class Bvh:
         return int(self.v0.shape[0])
 
 
-def build_bvh(mesh: TriMesh, leaf_size: int = LEAF_SIZE) -> Bvh:
+def build_bvh(mesh: TriMesh) -> Bvh:
     """Top-down median-split build over triangle centroids."""
     if mesh.is_empty:
         raise EmptyScene("cannot build a BVH over an empty mesh")
@@ -82,7 +71,7 @@ def build_bvh(mesh: TriMesh, leaf_size: int = LEAF_SIZE) -> Bvh:
         idx = order[lo:hi]
         bmin[node] = tri_min[idx].min(axis=0)
         bmax[node] = tri_max[idx].max(axis=0)
-        if hi - lo <= leaf_size:
+        if hi - lo <= LEAF_SIZE:
             start[node] = lo
             count[node] = hi - lo
             continue
@@ -274,10 +263,3 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray, c
         best_v[lo:hi] = np.where(hit, v.reshape(-1)[flat], 0.0)
     return best_t, best_tri, best_u, best_v
 
-
-def bvh_intersect(bvh: Bvh, origin, direction) -> Hit | None:
-    """Nearest hit for a single normalized ray, or None on a miss."""
-    t, tri, u, v = intersect_rays(bvh, np.asarray(origin)[None], np.asarray(direction)[None])
-    if tri[0] < 0:
-        return None
-    return Hit(float(t[0]), int(tri[0]), float(u[0]), float(v[0]))

@@ -17,7 +17,7 @@ from . import __version__
 from .errors import VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
-from .geometry import build_pair_set, SegMask
+from .geometry import build_pair_set, valid_region
 from .losses import LOSS_KINDS, scale_invariant_loss, translation_invariant_loss
 from .manifest import camera_from_dict, emit_scene, load_manifest, replay_manifest
 from .procgen import SceneConfig
@@ -168,9 +168,7 @@ def _cmd_loss(args) -> int:
     pred = read_xyz_pfm(args.pred)
     gt = read_xyz_pfm(args.gt)
     mask = read_pgm(args.mask)
-    pairs = build_pair_set(
-        SegMask(mask.values & pred.valid & gt.valid), parse_dilations(args.dilations)
-    )
+    pairs = build_pair_set(valid_region(mask, pred, gt), parse_dilations(args.dilations))
     if args.kind == "translation_invariant":
         report = translation_invariant_loss(pred, gt, pairs)
     else:

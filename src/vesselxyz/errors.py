@@ -61,5 +61,9 @@ class TruncatedPayload(VesselXyzError):
     """A PFM/PGM file ends before its declared payload does."""
 
 
+class MalformedManifest(VesselXyzError):
+    """A scene manifest is not valid JSON or lacks or garbles a field."""
+
+
 class MissingPrediction(VesselXyzError):
     """An evaluation run cannot find a prediction file for a scene."""

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import MissingPrediction, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
-from .geometry import SegMask, XyzMap, default_dilations
+from .geometry import SegMask, XyzMap, default_dilations, valid_region
 from .manifest import ROLES, SceneManifest, load_manifest
 from .metrics import evaluate_xyz, seg_eval, similarity_from_region
 from .report import SEG_COLUMNS, XYZ_COLUMNS, ReportDocument
@@ -46,15 +46,13 @@ def _gt_mask(manifest: SceneManifest, gt_dir: Path, role: str) -> SegMask:
     return read_pgm(gt_dir / manifest.files[f"{role}_mask"])
 
 
-def _pred_path(pred_dir: Path, manifest: SceneManifest, role: str, kind: str) -> Path:
+def _read_prediction(pred_dir: Path, manifest: SceneManifest, role: str, kind: str, read):
+    """The prediction read with ``read``, or None when its file is missing.
+
+    A file that exists but cannot be read raises, like a bad GT file.
+    """
     path = pred_dir / manifest.files[f"{role}_{kind}"]
-    if not path.exists():
-        raise MissingPrediction(f"{path} not found")
-    return path
-
-
-def _eval_mask(gt_mask: SegMask, gt: XyzMap, pred: XyzMap) -> SegMask:
-    return SegMask(gt_mask.values & gt.valid & pred.valid)
+    return read(path) if path.exists() else None
 
 
 def evaluate_scene_xyz(
@@ -72,15 +70,12 @@ def evaluate_scene_xyz(
     for role in ROLES:
         gt_maps[role] = _gt_xyz(manifest, gt_dir, role)
         gt_masks[role] = _gt_mask(manifest, gt_dir, role)
-        try:
-            pred_maps[role] = read_xyz_pfm(_pred_path(pred_dir, manifest, role, "xyz"))
-        except MissingPrediction:
-            pred_maps[role] = None
+        pred_maps[role] = _read_prediction(pred_dir, manifest, role, "xyz", read_xyz_pfm)
 
     vessel_transform = None
     if mode == "vessel-scale" and pred_maps["vessel"] is not None:
         try:
-            region = _eval_mask(gt_masks["vessel"], gt_maps["vessel"], pred_maps["vessel"])
+            region = valid_region(gt_masks["vessel"], gt_maps["vessel"], pred_maps["vessel"])
             vessel_transform = similarity_from_region(
                 pred_maps["vessel"], gt_maps["vessel"], region, dilations
             )
@@ -93,7 +88,7 @@ def evaluate_scene_xyz(
             rows.append({"seed": seed, "object": role, "missing": True})
             continue
         try:
-            mask = _eval_mask(gt_masks[role], gt_maps[role], pred)
+            mask = valid_region(gt_masks[role], gt_maps[role], pred)
             if mode == "vessel-scale":
                 transform = vessel_transform
             else:
@@ -114,14 +109,16 @@ def evaluate_scene_seg(manifest: SceneManifest, gt_dir, pred_dir) -> list:
     rows = []
     for role in ROLES:
         gt_mask = _gt_mask(manifest, gt_dir, role)
+        pred_mask = _read_prediction(pred_dir, manifest, role, "mask", read_pgm)
         try:
-            pred_mask = read_pgm(_pred_path(pred_dir, manifest, role, "mask"))
-            report = seg_eval(pred_mask, gt_mask)
-        except VesselXyzError:
-            rows.append({"seed": manifest.seed, "object": role, "missing": True})
-            continue
+            report = None if pred_mask is None else seg_eval(pred_mask, gt_mask)
+        except VesselXyzError:  # readable, but cannot be scored against the GT
+            report = None
         row = {"seed": manifest.seed, "object": role}
-        row.update({col: getattr(report, col) for col in SEG_COLUMNS})
+        if report is None:
+            row["missing"] = True
+        else:
+            row.update({col: getattr(report, col) for col in SEG_COLUMNS})
         rows.append(row)
     return rows
 

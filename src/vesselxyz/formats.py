@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedHeader, TruncatedPayload
-from .geometry import DepthMap, SegMask, XyzMap
-from .procgen import TriMesh
+from .geometry import DepthMap, SegMask, TriMesh, XyzMap
 
 _PFM_SCALE = -1.0  # little-endian
 
@@ -147,17 +146,6 @@ def read_xyz_pfm(path) -> XyzMap:
     if valid is None:
         valid = np.all(np.isfinite(data), axis=-1)
     return XyzMap(data, valid)
-
-
-def read_pfm(path):
-    """Read either flavor of PFM, dispatching on the header."""
-    with open(path, "rb") as f:
-        magic = f.read(2)
-    if magic == b"Pf":
-        return read_depth_pfm(path)
-    if magic == b"PF":
-        return read_xyz_pfm(path)
-    raise MalformedHeader(f"{path}: not a PFM file (magic {magic!r})")
 
 
 def write_obj(path, mesh: TriMesh) -> None:

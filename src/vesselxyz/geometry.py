@@ -1,4 +1,4 @@
-"""Map and camera data model plus the pixel-pair difference machinery.
+"""Map, camera, mesh and material data model plus the pixel-pair difference machinery.
 
 Conventions used throughout the package:
 
@@ -29,6 +29,9 @@ from .errors import (
 )
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64)
+MIN_TRIANGLE_AREA = 1e-12
+MESH_LABELS = ("vessel", "content", "opening", "ground")
+IOR_PHYSICAL_RANGE = (1.0, 2.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -214,9 +217,102 @@ class PairSet:
         return int(self.first.shape[0])
 
 
+@dataclass(frozen=True)
+class TriMesh:
+    """Indexed triangle mesh with a semantic label.
+
+    Triangles are wound counterclockwise seen from outside, so cross products
+    of edge vectors give outward normals and the divergence-theorem volume of
+    a closed mesh comes out positive.
+    """
+
+    vertices: np.ndarray  # (N, 3) float64
+    triangles: np.ndarray  # (M, 3) int64
+    label: str
+
+    def __post_init__(self):
+        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
+        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if self.label not in MESH_LABELS:
+            raise ValueError(f"label must be one of {MESH_LABELS}")
+        if len(t) and (t.min() < 0 or t.max() >= len(v)):
+            raise DimensionMismatch("triangle indices out of range")
+        object.__setattr__(self, "vertices", _frozen(v))
+        object.__setattr__(self, "triangles", _frozen(t))
+        if np.any(self.triangle_areas() <= MIN_TRIANGLE_AREA):
+            raise ValueError("mesh contains degenerate triangles")
+
+    @property
+    def num_triangles(self) -> int:
+        return int(self.triangles.shape[0])
+
+    @property
+    def is_empty(self) -> bool:
+        return self.num_triangles == 0
+
+    def centroid(self) -> np.ndarray:
+        return np.mean(self.vertices, axis=0)
+
+    def triangle_areas(self) -> np.ndarray:
+        """(M,) area of each triangle."""
+        v, t = self.vertices, self.triangles
+        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+@dataclass(frozen=True)
+class MaterialVector:
+    """Scalar material properties, all stored in [0, 1].
+
+    IOR is normalized from its physical range [1, 2]; use ``ior_physical``
+    to recover the refractive index itself.
+    """
+
+    rgb: tuple
+    transmission: float
+    roughness: float
+    metallic: float
+    ior: float
+
+    def __post_init__(self):
+        rgb = tuple(float(c) for c in self.rgb)
+        if len(rgb) != 3:
+            raise DimensionMismatch("rgb must have exactly 3 components")
+        object.__setattr__(self, "rgb", rgb)
+        for name in ("transmission", "roughness", "metallic", "ior"):
+            v = float(getattr(self, name))
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name}={v} outside [0, 1]")
+            object.__setattr__(self, name, v)
+        if any(not 0.0 <= c <= 1.0 for c in rgb):
+            raise ValueError(f"rgb {rgb} outside [0, 1]")
+
+    @property
+    def ior_physical(self) -> float:
+        lo, hi = IOR_PHYSICAL_RANGE
+        return lo + self.ior * (hi - lo)
+
+    @classmethod
+    def with_physical_ior(cls, rgb, transmission, roughness, metallic, ior_physical):
+        lo, hi = IOR_PHYSICAL_RANGE
+        return cls(rgb, transmission, roughness, metallic, (ior_physical - lo) / (hi - lo))
+
+
 def default_dilations(height: int, width: int) -> tuple:
     """Powers-of-two dilation ladder clipped to the image extent."""
     return tuple(d for d in DEFAULT_DILATIONS if d < max(height, width))
+
+
+def valid_region(mask: SegMask, *maps: XyzMap | DepthMap) -> SegMask:
+    """The pixels of ``mask`` that are valid in every one of ``maps``."""
+    sel = mask.values
+    for m in maps:
+        if (m.height, m.width) != (mask.height, mask.width):
+            raise DimensionMismatch(
+                f"map {m.height}x{m.width} vs mask {mask.height}x{mask.width}"
+            )
+        sel = sel & m.valid
+    return SegMask(sel)
 
 
 def depth_to_xyz(depth: DepthMap, camera: PinholeCamera) -> XyzMap:

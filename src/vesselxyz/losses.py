@@ -71,6 +71,25 @@ def translation_invariant_loss(pred: XyzMap, gt: XyzMap, pairs: PairSet) -> Loss
     return LossReport(value, None, False, len(pairs))
 
 
+def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray, min_pairs: int = MIN_SCALE_PAIRS):
+    """K from gathered differences, plus the kept mask and both means behind it.
+
+    Returns (ScaleFactor, keep, num, den) with num and den the mean absolute
+    GT and predicted differences over the sign-consistent entries ``keep``.
+    """
+    keep = (d_gt * d_pred) > 0.0
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep < min_pairs:
+        raise DegenerateScale(
+            f"only {n_keep} sign-consistent pair entries, need at least {min_pairs}"
+        )
+    den = float(np.mean(np.abs(d_pred[keep])))
+    if den < DENOMINATOR_FLOOR:
+        raise DegenerateScale(f"predicted differences vanish (mean {den})")
+    num = float(np.mean(np.abs(d_gt[keep])))
+    return ScaleFactor(num / den, n_keep), keep, num, den
+
+
 def scale_factor(
     pred: XyzMap, gt: XyzMap, pairs: PairSet, min_pairs: int = MIN_SCALE_PAIRS
 ) -> ScaleFactor:
@@ -81,18 +100,7 @@ def scale_factor(
     about scale.  Raises DegenerateScale when fewer than ``min_pairs``
     entries survive or the predicted mean is numerically zero.
     """
-    d_gt, d_pred = _paired_differences(pred, gt, pairs)
-    keep = (d_gt * d_pred) > 0.0
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep < min_pairs:
-        raise DegenerateScale(
-            f"only {n_keep} sign-consistent pair entries, need at least {min_pairs}"
-        )
-    denom = float(np.mean(np.abs(d_pred[keep])))
-    if denom < DENOMINATOR_FLOOR:
-        raise DegenerateScale(f"predicted differences vanish (mean {denom})")
-    k = float(np.mean(np.abs(d_gt[keep]))) / denom
-    return ScaleFactor(k, n_keep)
+    return _scale_terms(*_paired_differences(pred, gt, pairs), min_pairs)[0]
 
 
 def _control_term(k: float):
@@ -109,7 +117,6 @@ def scale_invariant_loss(
     gt: XyzMap,
     pairs: PairSet,
     k: ScaleFactor | None = None,
-    min_pairs: int = MIN_SCALE_PAIRS,
 ) -> LossReport:
     """Mean absolute error after rescaling predicted differences by K.
 
@@ -119,9 +126,9 @@ def scale_invariant_loss(
     only to K itself.  When K leaves [SCALE_FLOOR, SCALE_CEILING] the control
     term (+K or -K) is added to the value and flagged.
     """
-    if k is None:
-        k = scale_factor(pred, gt, pairs, min_pairs=min_pairs)
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
+    if k is None:
+        k = _scale_terms(d_gt, d_pred)[0]
     value = float(np.mean(np.abs(d_gt - k.k * d_pred)))
     extra, active = _control_term(k.k)
     return LossReport(value + extra, k, active, len(pairs))
@@ -172,7 +179,6 @@ def loss_gradient(
     gt: XyzMap,
     pairs: PairSet,
     k: ScaleFactor | None = None,
-    min_pairs: int = MIN_SCALE_PAIRS,
 ) -> np.ndarray:
     """Analytic gradient of a loss value with respect to the predicted map.
 
@@ -191,18 +197,14 @@ def loss_gradient(
         return _scatter_pair_grad(pairs, np.sign(d_pred - d_gt) / n_terms)
 
     supplied = k is not None
-    if k is None:
-        k = scale_factor(pred, gt, pairs, min_pairs=min_pairs)
+    if not supplied:
+        k, keep, num, den = _scale_terms(d_gt, d_pred)
     per_pair = k.k * np.sign(k.k * d_pred - d_gt) / n_terms
     _, active = _control_term(k.k)
     if active and not supplied:
         # d(+K)/dD_pred_j = -(num/den^2) * sign(D_pred_j) / M on the
         # sign-consistent entries; the -K branch flips the sign.
-        keep = (d_gt * d_pred) > 0.0
-        m = int(np.count_nonzero(keep))
-        den = float(np.mean(np.abs(d_pred[keep])))
-        num = float(np.mean(np.abs(d_gt[keep])))
         dk = np.zeros_like(d_pred)
-        dk[keep] = -(num / den**2) * np.sign(d_pred[keep]) / m
+        dk[keep] = -(num / den**2) * np.sign(d_pred[keep]) / k.valid_pair_count
         per_pair = per_pair + (dk if k.k > SCALE_CEILING else -dk)
     return _scatter_pair_grad(pairs, per_pair)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
-from .geometry import PinholeCamera, SegMask
-from .metrics import MaterialVector
+from .geometry import MaterialVector, PinholeCamera, SegMask
 from .procgen import SceneConfig, SceneRecord, VesselProfile, assemble_scene
 from .renderer import RenderOutput, render_scene
 
@@ -108,17 +108,41 @@ class SceneManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneManifest":
-        return cls(
-            format_version=d["format_version"],
-            seed=d["seed"],
-            config=SceneConfig.from_dict(d["config"]),
-            camera=camera_from_dict(d["camera"]),
-            profile=VesselProfile.from_dict(d["profile"]),
-            fill_fraction=d["fill_fraction"],
-            vessel_material=material_from_dict(d["vessel_material"]),
-            content_material=material_from_dict(d["content_material"]),
-            files=dict(d["files"]),
-        )
+        """Parse a manifest document; MalformedManifest names the bad field."""
+        fields = {}
+        for name, parse in _FIELD_PARSERS:
+            try:
+                fields[name] = parse(d[name])
+            except (AttributeError, KeyError, TypeError, ValueError, VesselXyzError) as e:
+                why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+                raise MalformedManifest(f"field {name!r}: {why}") from e
+        files = fields["files"]
+        bad = [
+            key for key in (f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask"))
+            if not isinstance(files.get(key), str)
+        ]
+        if bad:
+            raise MalformedManifest(f"field 'files': no file name for {', '.join(bad)}")
+        return cls(**fields)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+_FIELD_PARSERS = (
+    ("format_version", _integer),
+    ("seed", _integer),
+    ("config", SceneConfig.from_dict),
+    ("camera", camera_from_dict),
+    ("profile", VesselProfile.from_dict),
+    ("fill_fraction", float),
+    ("vessel_material", material_from_dict),
+    ("content_material", material_from_dict),
+    ("files", dict),
+)
 
 
 def write_manifest(manifest: SceneManifest, path) -> None:
@@ -126,7 +150,14 @@ def write_manifest(manifest: SceneManifest, path) -> None:
 
 
 def load_manifest(path) -> SceneManifest:
-    return SceneManifest.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedManifest(f"{path}: not a JSON document: {e}") from e
+    try:
+        return SceneManifest.from_dict(d)
+    except MalformedManifest as e:
+        raise MalformedManifest(f"{path}: {e}") from e
 
 
 def emit_scene(

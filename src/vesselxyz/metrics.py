@@ -22,14 +22,13 @@ from .errors import (
     InvalidEndpoint,
     TooFewPoints,
 )
-from .geometry import SegMask, XyzMap, build_pair_set
-from .losses import MIN_SCALE_PAIRS, scale_factor
+from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set
+from .losses import scale_factor
 
 _DIAMETER_GRID = 16  # cells per axis of max_dst's bounding-box grid
 _DIAMETER_SLACK = 1.0 + 1e-9  # relative margin on every max_dst prune test
 _DIAMETER_BLOCK = 1 << 16  # point pairs per chunk of an exact max_dst scan
 _TSS_FLOOR = 1e-12
-IOR_PHYSICAL_RANGE = (1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -56,44 +55,6 @@ class SegReport:
     recall: float
     intersection: int
     union: int
-
-
-@dataclass(frozen=True)
-class MaterialVector:
-    """Scalar material properties, all stored in [0, 1].
-
-    IOR is normalized from its physical range [1, 2]; use ``ior_physical``
-    to recover the refractive index itself.
-    """
-
-    rgb: tuple
-    transmission: float
-    roughness: float
-    metallic: float
-    ior: float
-
-    def __post_init__(self):
-        rgb = tuple(float(c) for c in self.rgb)
-        if len(rgb) != 3:
-            raise DimensionMismatch("rgb must have exactly 3 components")
-        object.__setattr__(self, "rgb", rgb)
-        for name in ("transmission", "roughness", "metallic", "ior"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-            object.__setattr__(self, name, v)
-        if any(not 0.0 <= c <= 1.0 for c in rgb):
-            raise ValueError(f"rgb {rgb} outside [0, 1]")
-
-    @property
-    def ior_physical(self) -> float:
-        lo, hi = IOR_PHYSICAL_RANGE
-        return lo + self.ior * (hi - lo)
-
-    @classmethod
-    def with_physical_ior(cls, rgb, transmission, roughness, metallic, ior_physical):
-        lo, hi = IOR_PHYSICAL_RANGE
-        return cls(rgb, transmission, roughness, metallic, (ior_physical - lo) / (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -241,7 +202,6 @@ def similarity_from_region(
     gt: XyzMap,
     region: SegMask,
     dilations=None,
-    min_pairs: int = MIN_SCALE_PAIRS,
 ) -> SimilarityTransform:
     """Estimate the similarity aligning a prediction to GT over one region.
 
@@ -250,7 +210,7 @@ def similarity_from_region(
     for a fixed scale).
     """
     pairs = build_pair_set(region, dilations)
-    k = scale_factor(pred, gt, pairs, min_pairs=min_pairs).k
+    k = scale_factor(pred, gt, pairs).k
     p_ref = _masked_points(pred, region)
     g_ref = _masked_points(gt, region)
     t = np.mean(g_ref, axis=0) - k * np.mean(p_ref, axis=0)
@@ -263,7 +223,6 @@ def align_prediction(
     ref_mask: SegMask,
     target_mask: SegMask,
     dilations=None,
-    min_pairs: int = MIN_SCALE_PAIRS,
 ) -> XyzMap:
     """Rescale and translate a prediction to GT using a reference region.
 
@@ -271,7 +230,7 @@ def align_prediction(
     relative placement errors in the result; using the object itself as
     reference removes them and isolates pure shape error.
     """
-    transform = similarity_from_region(pred, gt, ref_mask, dilations, min_pairs)
+    transform = similarity_from_region(pred, gt, ref_mask, dilations)
     return transform.apply(pred, target_mask)
 
 
@@ -332,7 +291,6 @@ def evaluate_xyz(pred: XyzMap, gt: XyzMap, mask: SegMask) -> EvalReport:
 __all__ = [
     "EvalReport",
     "SegReport",
-    "MaterialVector",
     "MaterialErrors",
     "SimilarityTransform",
     "mae_points",

@@ -18,12 +18,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DimensionMismatch, GenerationFailed, InvalidResolution
-from .geometry import PinholeCamera, _frozen
-from .metrics import MaterialVector, IOR_PHYSICAL_RANGE
-
-MIN_TRIANGLE_AREA = 1e-12
-MESH_LABELS = ("vessel", "content", "opening", "ground")
+from .errors import GenerationFailed, InvalidResolution
+from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, _frozen
 
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
@@ -206,56 +202,12 @@ def generate_profile(seed: int, config: ProfileConfig | None = None) -> VesselPr
 # Meshes
 
 
-@dataclass(frozen=True)
-class TriMesh:
-    """Indexed triangle mesh with a semantic label.
-
-    Triangles are wound counterclockwise seen from outside, so cross products
-    of edge vectors give outward normals and the divergence-theorem volume of
-    a closed mesh comes out positive.
-    """
-
-    vertices: np.ndarray  # (N, 3) float64
-    triangles: np.ndarray  # (M, 3) int64
-    label: str
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if self.label not in MESH_LABELS:
-            raise ValueError(f"label must be one of {MESH_LABELS}")
-        if len(t) and (t.min() < 0 or t.max() >= len(v)):
-            raise DimensionMismatch("triangle indices out of range")
-        if len(t):
-            a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-            if np.any(areas <= MIN_TRIANGLE_AREA):
-                raise ValueError("mesh contains degenerate triangles")
-        object.__setattr__(self, "vertices", _frozen(v))
-        object.__setattr__(self, "triangles", _frozen(t))
-
-    @property
-    def num_triangles(self) -> int:
-        return int(self.triangles.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        return self.num_triangles == 0
-
-    def centroid(self) -> np.ndarray:
-        return np.mean(self.vertices, axis=0)
-
-
 def empty_mesh(label: str) -> TriMesh:
     return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), label)
 
 
 def surface_area(mesh: TriMesh) -> float:
-    if mesh.is_empty:
-        return 0.0
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    return float(np.sum(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)))
+    return float(np.sum(mesh.triangle_areas()))
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -539,16 +491,15 @@ def sample_surface_points(mesh: TriMesh, n: int, rng: np.random.Generator) -> np
     """Uniform area-weighted random points on a mesh surface."""
     if mesh.is_empty:
         return np.empty((0, 3))
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    idx = rng.choice(len(t), size=n, p=areas / areas.sum())
+    areas = mesh.triangle_areas()
+    t = mesh.triangles[rng.choice(len(areas), size=n, p=areas / areas.sum())]
+    a, b, c = (mesh.vertices[t[:, i]] for i in range(3))
     r1 = np.sqrt(rng.uniform(0.0, 1.0, n))
     r2 = rng.uniform(0.0, 1.0, n)
     w0 = 1.0 - r1
     w1 = r1 * (1.0 - r2)
     w2 = r1 * r2
-    return w0[:, None] * a[idx] + w1[:, None] * b[idx] + w2[:, None] * c[idx]
+    return w0[:, None] * a + w1[:, None] * b + w2[:, None] * c
 
 
 def scene_violations(scene: SceneRecord, samples: int = 1000, tol: float = 1e-6) -> list:

@@ -16,8 +16,10 @@ import numpy as np
 
 from .bvh import build_bvh, intersect_rays
 from .errors import EmptyMask, EmptyScene
-from .geometry import DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz
-from .procgen import SceneRecord, TriMesh
+from .geometry import (
+    DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap, depth_to_xyz, valid_region,
+)
+from .procgen import SceneRecord
 
 MASK_DEPTH_EPS = 1e-6  # meters of depth change that counts as "object present"
 CLEAN_MAX_OFFSET = 0.10  # meters from the object centroid
@@ -77,6 +79,7 @@ class _SceneHits:
         for mesh in self.meshes:
             t, tri, _, _ = intersect_rays(build_bvh(mesh), origins, dirs)
             self.hits.append((mesh.label, t, tri))
+        self.label_index = {label: mi for mi, (label, _, _) in enumerate(self.hits)}
 
     def combine(self, labels):
         """Nearest hit over the meshes named in ``labels``.
@@ -105,12 +108,6 @@ class _SceneHits:
         return DepthMap(depth.reshape(cam.height, cam.width),
                         valid.reshape(cam.height, cam.width))
 
-    def label_index(self, label: str) -> int:
-        for mi, (name, _, _) in enumerate(self.hits):
-            if name == label:
-                return mi
-        return -1
-
 
 def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
     """Depth map of arbitrary geometry (a TriMesh or a list of TriMeshes)."""
@@ -122,59 +119,51 @@ def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
 
 def _difference_mask(
     t1: np.ndarray, ok1: np.ndarray, t2: np.ndarray, ok2: np.ndarray,
-    axial: np.ndarray, shape, eps: float,
+    axial: np.ndarray, shape,
 ) -> SegMask:
     """Pixels where two renders disagree: validity flips or depth moves."""
     flip = ok1 != ok2
     both = ok1 & ok2
     moved = np.zeros_like(flip)
-    moved[both] = np.abs((t1[both] - t2[both]) * axial[both]) > eps
+    moved[both] = np.abs((t1[both] - t2[both]) * axial[both]) > MASK_DEPTH_EPS
     return SegMask((flip | moved).reshape(shape))
 
 
-def render_scene(
-    scene: SceneRecord,
-    camera: PinholeCamera | None = None,
-    with_normals: bool = False,
-    mask_eps: float = MASK_DEPTH_EPS,
-) -> RenderOutput:
-    """Render every ground-truth map of a scene.
+def render_scene(scene: SceneRecord, with_normals: bool = False) -> RenderOutput:
+    """Render every ground-truth map of a scene from its camera.
 
     The full scene is vessel + content + ground; content maps come from the
     scene with the vessel removed; the opening disk is rendered alone (it is
     an annotation, not physical geometry, and must not occlude anything).
-    Each mesh is intersected exactly once and the with/without-object views
-    are combined from those per-mesh hits.
+    Each mesh is intersected exactly once and every view is combined from
+    those per-mesh hits.
     """
-    camera = camera or scene.camera
+    if scene.opening.is_empty:
+        raise EmptyScene("scene has no opening disk")
+    camera = scene.camera
     ground = scene.ground_plane.to_mesh()
-    hits = _SceneHits([scene.vessel, scene.content, ground], camera)
+    hits = _SceneHits([scene.vessel, scene.content, ground, scene.opening], camera)
     shape = (camera.height, camera.width)
 
     t_full, mesh_full, tri_full = hits.combine({"vessel", "content", "ground"})
     t_nov, mesh_nov, _ = hits.combine({"content", "ground"})
     t_gnd, mesh_gnd, _ = hits.combine({"ground"})
+    t_open, mesh_open, _ = hits.combine({"opening"})
 
     def first_hit_is(mesh_idx: np.ndarray, label: str) -> np.ndarray:
-        li = hits.label_index(label)
-        if li < 0:
+        if label not in hits.label_index:
             return np.zeros_like(mesh_idx, dtype=bool)
-        return mesh_idx == li
+        return mesh_idx == hits.label_index[label]
 
     vessel_depth = hits.depth_of(t_full, first_hit_is(mesh_full, "vessel"))
     content_depth = hits.depth_of(t_nov, first_hit_is(mesh_nov, "content"))
-
-    if scene.opening.is_empty:
-        raise EmptyScene("scene has no opening disk")
-    origins, dirs, _ = camera_rays(camera)
-    t_open, tri_open, _, _ = intersect_rays(build_bvh(scene.opening), origins, dirs)
-    opening_depth = hits.depth_of(t_open, tri_open >= 0)
+    opening_depth = hits.depth_of(t_open, mesh_open >= 0)
 
     vessel_mask = _difference_mask(
-        t_full, mesh_full >= 0, t_nov, mesh_nov >= 0, hits.axial, shape, mask_eps
+        t_full, mesh_full >= 0, t_nov, mesh_nov >= 0, hits.axial, shape
     )
     content_mask = _difference_mask(
-        t_nov, mesh_nov >= 0, t_gnd, mesh_gnd >= 0, hits.axial, shape, mask_eps
+        t_nov, mesh_nov >= 0, t_gnd, mesh_gnd >= 0, hits.axial, shape
     )
 
     normals = None
@@ -224,7 +213,7 @@ def clean_depth(
     Mirrors the cleanup used on noisy consumer depth-sensor captures where
     the scanned object is known to be small.
     """
-    sel = mask.values & depth.valid
+    sel = valid_region(mask, depth).values
     if not np.any(sel):
         raise EmptyMask("no valid masked pixels to clean")
     xyz = depth_to_xyz(depth, camera)

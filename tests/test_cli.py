@@ -32,6 +32,13 @@ def gt_batch(tmp_path_factory):
     return out
 
 
+def _small_xyz(size: int) -> vesselxyz.XyzMap:
+    """A valid size x size XYZ map one meter ahead of the camera."""
+    coords = np.zeros((size, size, 3))
+    coords[..., 2] = 1.0
+    return vesselxyz.XyzMap(coords, np.ones((size, size), bool))
+
+
 class TestParseSeeds:
     def test_forms(self):
         assert parse_seeds("5") == [5]
@@ -211,22 +218,80 @@ class TestEval:
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "name, blob",
+        "name, blob, mode",
         [
-            ("1_vessel_xyz.pfm", b"PF\n100000 100000\n-1.0\n" + bytes(64)),
-            ("1_vessel_xyz.pfm", b"PF\n4 0\n-1.0\n" + bytes(64)),
-            ("1_vessel_mask.pgm", b"P5\n-4 4\n255\n" + bytes(16)),
-            ("1_vessel_mask.pgm", b"P5\n100000 100000\n255\n" + bytes(16)),
+            ("1_vessel_xyz.pfm", b"PF\n100000 100000\n-1.0\n" + bytes(64), "content-scale"),
+            ("1_vessel_xyz.pfm", b"PF\n4 0\n-1.0\n" + bytes(64), "content-scale"),
+            ("1_vessel_mask.pgm", b"P5\n-4 4\n255\n" + bytes(16), "content-scale"),
+            ("1_vessel_mask.pgm", b"P5\n100000 100000\n255\n" + bytes(16), "content-scale"),
+            # only the prediction is corrupt; the GT copy stays intact
+            ("pred/1_vessel_mask.pgm", b"P5\n-4 4\n255\n" + bytes(16), "segmentation"),
+            ("pred/1_content_mask.pgm", b"P5\n100000 100000\n255\n" + bytes(16),
+             "segmentation"),
         ],
-        ids=["pfm-huge", "pfm-zero-height", "pgm-negative-width", "pgm-huge"],
+        ids=["pfm-huge", "pfm-zero-height", "pgm-negative-width", "pgm-huge",
+             "pred-pgm-negative-width", "pred-pgm-huge"],
     )
-    def test_bad_header_sizes_are_data_errors(self, gt_batch, tmp_path, capsys, name, blob):
+    def test_bad_header_sizes_are_data_errors(
+        self, gt_batch, tmp_path, capsys, name, blob, mode
+    ):
         gt = tmp_path / "gt"
         shutil.copytree(gt_batch, gt)
-        (gt / name).write_bytes(blob)
+        pred = gt
+        if name.startswith("pred/"):
+            pred = tmp_path / "pred"
+            shutil.copytree(gt_batch, pred)
+            name = name.split("/", 1)[1]
+        (pred / name).write_bytes(blob)
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", mode])
+        assert code == EXIT_DATA
+        assert str(pred / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("camera",), None),
+            (("vessel_material", "ior"), 5.0),
+            (("files", "vessel_xyz"), None),
+            (("camera", "fx"), None),
+            (("profile", "base_radius"), None),
+        ],
+        ids=["no-camera", "ior-out-of-range", "no-vessel-xyz-file", "no-camera-fx",
+             "no-profile-base-radius"],
+    )
+    def test_malformed_manifest_is_data_error(self, gt_batch, tmp_path, capsys, keys, value):
+        # None deletes the key; anything else replaces its value
+        gt = tmp_path / "gt"
+        shutil.copytree(gt_batch, gt)
+        path = gt / manifest_name(1)
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        path.write_text(json.dumps(doc))
         code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "content-scale"])
         assert code == EXIT_DATA
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert keys[-1] in err
+
+    def test_wrong_size_prediction_is_absent(self, gt_batch, tmp_path):
+        # a readable 32x32 vessel prediction cannot be scored against 64x64 GT
+        pred = tmp_path / "pred"
+        shutil.copytree(gt_batch, pred)
+        write_pfm(pred / "1_vessel_xyz.pfm", _small_xyz(32))
+        code = main(
+            ["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", "content-scale",
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in (tmp_path / "report" / "report.csv").read_text().splitlines()]
+        missing = {(r[0], r[1]) for r in rows[1:] if r[2] == "true"}
+        assert missing == {("1", "vessel")}
 
 
 class TestLoss:
@@ -287,6 +352,19 @@ class TestLoss:
         assert k == pytest.approx(0.5, rel=1e-5)
         assert value < 1e-7
 
+    def test_wrong_size_prediction_is_data_error(self, gt_batch, tmp_path, capsys):
+        write_pfm(tmp_path / "pred.pfm", _small_xyz(32))
+        code = main(
+            [
+                "loss", "--pred", str(tmp_path / "pred.pfm"),
+                "--gt", str(gt_batch / "1_vessel_xyz.pfm"),
+                "--mask", str(gt_batch / "1_vessel_mask.pgm"),
+                "--kind", "scale_invariant",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "32x32" in capsys.readouterr().err
+
     def test_unreadable_file_is_data_error(self, tmp_path):
         code = main(
             [
@@ -313,6 +391,21 @@ class TestCleanDepth:
         cleaned = read_depth_pfm(out)
         original = read_depth_pfm(gt_batch / "1_vessel_depth.pfm")
         assert cleaned.valid.sum() <= original.valid.sum()
+
+    def test_wrong_size_mask_is_data_error(self, gt_batch, tmp_path):
+        from vesselxyz import SegMask, write_pgm
+
+        write_pgm(tmp_path / "m.pgm", SegMask(np.ones((32, 32), bool)))
+        code = main(
+            [
+                "clean-depth",
+                "--depth", str(gt_batch / "1_vessel_depth.pfm"),
+                "--mask", str(tmp_path / "m.pgm"),
+                "--manifest", str(gt_batch / manifest_name(1)),
+                "--out", str(tmp_path / "x.pfm"),
+            ]
+        )
+        assert code == EXIT_DATA
 
     def test_requires_camera_source(self, gt_batch, tmp_path):
         code = main(

@@ -16,7 +16,6 @@ from vesselxyz import (
     emit_scene,
     load_manifest,
     read_depth_pfm,
-    read_pfm,
     read_pgm,
     read_xyz_pfm,
     replay_manifest,
@@ -115,16 +114,9 @@ class TestPfm:
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P6\n2 2\n-1.0\n" + b"\x00" * 16)
         with pytest.raises(MalformedHeader):
-            read_pfm(path)
-
-    def test_dispatching_reader(self, tmp_path):
-        rng = np.random.default_rng(6)
-        dp = tmp_path / "d.pfm"
-        xp = tmp_path / "x.pfm"
-        write_pfm(dp, random_depth_f32(rng, 3, 5))
-        write_pfm(xp, random_xyz_f32(rng, 3, 5))
-        assert isinstance(read_pfm(dp), DepthMap)
-        assert isinstance(read_pfm(xp), XyzMap)
+            read_depth_pfm(path)
+        with pytest.raises(MalformedHeader):
+            read_xyz_pfm(path)
 
     def test_sentinel_fallback_without_sibling(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -13,7 +13,6 @@ from vesselxyz import (
     VesselProfile,
     assemble_scene,
     build_bvh,
-    bvh_intersect,
     clean_depth,
     depth_to_xyz,
     intersect_rays,
@@ -54,11 +53,9 @@ class TestRenderDepth:
         # chord error stays under 2e-3
         sphere = icosphere(4, radius=1.0, center=(0.0, 0.0, 3.0))
         cam = PinholeCamera(fx=100.0, fy=100.0, cx=15.5, cy=15.5, width=32, height=32)
-        hit = bvh_intersect(
-            build_bvh(sphere), np.zeros(3), np.array([0.0, 0.0, 1.0])
-        )
-        assert hit is not None
-        assert abs(hit.t - 2.0) <= 2e-3
+        t, tri, _, _ = intersect_rays(build_bvh(sphere), np.zeros(3), [0.0, 0.0, 1.0])
+        assert tri[0] >= 0
+        assert abs(t[0] - 2.0) <= 2e-3
         depth = render_depth(sphere, cam)
         # the four pixels around the principal point straddle the axis
         center = depth.values[15:17, 15:17]
@@ -91,13 +88,13 @@ class TestRenderDepth:
 
     def test_ray_origin_inside_closed_mesh_hits(self):
         sphere = icosphere(2, radius=1.0)
-        hit = bvh_intersect(build_bvh(sphere), np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        assert hit is not None and hit.t > 0
+        t, tri, _, _ = intersect_rays(build_bvh(sphere), np.zeros(3), [0.0, 0.0, 1.0])
+        assert tri[0] >= 0 and t[0] > 0
 
     def test_degenerate_direction_rejected(self):
         sphere = icosphere(1, radius=1.0)
         with pytest.raises(ValueError):
-            bvh_intersect(build_bvh(sphere), np.zeros(3), np.zeros(3))
+            intersect_rays(build_bvh(sphere), np.zeros(3), np.zeros(3))
 
 
 class TestBvhEquivalence:
@@ -137,9 +134,9 @@ class TestBvhEquivalence:
         scene = assemble_scene(7)
         bvh = build_bvh(scene.opening)
         rim_y = scene.profile.height
-        hit = bvh_intersect(bvh, np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0]))
-        assert hit is not None
-        assert hit.t == pytest.approx(1.0 - rim_y, rel=1e-12)
+        t, tri, _, _ = intersect_rays(bvh, [0.0, 1.0, 0.0], [0.0, -1.0, 0.0])
+        assert tri[0] >= 0
+        assert t[0] == pytest.approx(1.0 - rim_y, rel=1e-12)
 
 
 class TestRenderScene:
