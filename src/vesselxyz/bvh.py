@@ -1,10 +1,26 @@
 """Axis-aligned BVH over triangles with batched ray casting.
 
-Traversal is breadth-first over (ray, node) pairs so whole wavefronts of
-rays move through the tree as numpy array operations; no per-ray Python
-loop.  Hits are resolved to the smallest (t, triangle index) pair, which
-makes results independent of traversal order and identical to brute-force
-scanning of every triangle.
+The build is a level-synchronous median split.  Per depth, node boxes and
+centroid extents come from ``np.minimum/maximum.reduceat``, each node takes
+its widest centroid axis by ``argmax``, and one stable ``np.lexsort((key,
+node))`` sorts every node's triangles along its axis: the stable per-node
+sort of a recursive build, so triangle order, leaves and node count are a
+recursive build's.  Nodes are numbered breadth first; the children of the
+internal nodes are nodes 1, 2, ... in pairs.
+
+Traversal moves breadth-first wavefronts of (ray, node) pairs through the
+tree as numpy array operations, ``RAY_BLOCK`` rays at a time so a wavefront
+stays in cache.  Bounds, origins and directions are split into per-axis 1-D
+arrays, and the slab test chains ``fmin/fmax/maximum/minimum`` over them.
+Hits resolve to the smallest (t, triangle index) pair, so results equal a
+brute-force scan of every triangle whatever the traversal order.
+
+The Moller-Trumbore test writes its cross products out per component and
+sums each 3-term dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
+``einsum("ij,ij->i")`` does (it adds into a zeroed output, so a zero sum is
++0.0), so ``t``, ``u`` and ``v`` are bit-identical to the ``np.cross`` /
+``einsum`` form; the naive order differs on a fifth of random rows.  Only
+pairs with ``det != 0`` and ``0 <= u <= 1`` go on to ``v`` and ``t``.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ from .geometry import TriMesh, _frozen
 
 LEAF_SIZE = 8
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
+RAY_BLOCK = 8192  # rays per traversal wavefront
 
 
 @dataclass(frozen=True)
@@ -41,56 +58,48 @@ class Bvh:
 
 
 def build_bvh(mesh: TriMesh) -> Bvh:
-    """Top-down median-split build over triangle centroids."""
+    """Top-down median split over triangle centroids, one depth at a time."""
     if mesh.is_empty:
         raise EmptyScene("cannot build a BVH over an empty mesh")
     verts, tris = mesh.vertices, mesh.triangles
-    a = verts[tris[:, 0]]
-    b = verts[tris[:, 1]]
-    c = verts[tris[:, 2]]
+    a, b, c = (verts[tris[:, i]] for i in range(3))
     tri_min = np.minimum(np.minimum(a, b), c)
     tri_max = np.maximum(np.maximum(a, b), c)
     centroids = (tri_min + tri_max) * 0.5
     n = len(tris)
 
     order = np.arange(n, dtype=np.int64)
-    bmin, bmax, left, right, start, count = [], [], [], [], [], []
-
-    def alloc() -> int:
-        bmin.append(None)
-        bmax.append(None)
-        left.append(-1)
-        right.append(-1)
-        start.append(0)
-        count.append(0)
-        return len(left) - 1
-
-    stack = [(0, n, alloc())]
-    while stack:
-        lo, hi, node = stack.pop()
-        idx = order[lo:hi]
-        bmin[node] = tri_min[idx].min(axis=0)
-        bmax[node] = tri_max[idx].max(axis=0)
-        if hi - lo <= LEAF_SIZE:
-            start[node] = lo
-            count[node] = hi - lo
-            continue
-        cent = centroids[idx]
-        axis = int(np.argmax(cent.max(axis=0) - cent.min(axis=0)))
-        order[lo:hi] = idx[np.argsort(cent[:, axis], kind="stable")]
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    levels = []  # per depth: (bmin, bmax, lo, hi, split) of its nodes
+    while lo.size:
+        # Cut at every node boundary of this depth; the gaps between nodes
+        # are leaves of shallower depths, whose reductions are dropped.
+        cuts = np.unique(np.concatenate([lo, hi[hi < n]]))
+        seg = np.searchsorted(cuts, lo)
+        bmin = np.minimum.reduceat(tri_min[order], cuts)[seg]
+        bmax = np.maximum.reduceat(tri_max[order], cuts)[seg]
+        split = hi - lo > LEAF_SIZE
+        levels.append((bmin, bmax, lo, hi, split))
+        lo, hi, seg = lo[split], hi[split], seg[split]
+        cent = centroids[order]
+        extent = np.maximum.reduceat(cent, cuts)[seg] - np.minimum.reduceat(cent, cuts)[seg]
+        sizes = hi - lo
+        pos = _concat_ranges(lo, sizes)
+        key = cent[pos, np.repeat(np.argmax(extent, axis=1), sizes)]
+        order[pos] = order[pos[np.lexsort((key, np.repeat(np.arange(len(lo)), sizes)))]]
         mid = (lo + hi) // 2
-        li, ri = alloc(), alloc()
-        left[node], right[node] = li, ri
-        stack.append((lo, mid, li))
-        stack.append((mid, hi, ri))
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
 
+    bmin, bmax, lo, hi, split = (np.concatenate(x) for x in zip(*levels))
+    left = np.full(len(lo), -1, dtype=np.int64)
+    left[split] = 1 + 2 * np.arange(int(split.sum()))
     return Bvh(
-        bounds_min=_frozen(np.array(bmin)),
-        bounds_max=_frozen(np.array(bmax)),
-        left=_frozen(np.array(left, dtype=np.int64)),
-        right=_frozen(np.array(right, dtype=np.int64)),
-        start=_frozen(np.array(start, dtype=np.int64)),
-        count=_frozen(np.array(count, dtype=np.int64)),
+        bounds_min=_frozen(bmin),
+        bounds_max=_frozen(bmax),
+        left=_frozen(left),
+        right=_frozen(np.where(split, left + 1, -1)),
+        start=_frozen(np.where(split, 0, lo)),
+        count=_frozen(np.where(split, 0, hi - lo)),
         tri_order=_frozen(order),
         v0=_frozen(a),
         e1=_frozen(b - a),
@@ -98,24 +107,38 @@ def build_bvh(mesh: TriMesh) -> Bvh:
     )
 
 
-def _moller_trumbore(o, d, v0, e1, e2, t_min=T_MIN):
-    """Vectorized ray/triangle test; returns (t, u, v, hit) arrays.
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
+
+def _dot(a, b):
+    """3-term dot product summed as einsum("ij,ij->i") sums it; a -0.0 sum reads +0.0."""
+    return ((a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]) + 0.0
+
+
+def _moller_trumbore(o, d, v0, e1, e2):
+    """Ray/triangle test over pairs; returns (hit indices, t, u, v of those hits).
+
+    Every argument is an (x, y, z) triple of 1-D arrays, one entry per pair.
     Barycentric bounds are inclusive so rays through shared edges register
     on both incident triangles (the caller's (t, id) tie-break then picks
     one deterministically) instead of slipping through a crack.
     """
-    p = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, p)
     with np.errstate(divide="ignore", invalid="ignore"):
+        p = _cross(d, e2)
+        det = _dot(e1, p)
         inv_det = 1.0 / det
-        tvec = o - v0
-        u = np.einsum("ij,ij->i", tvec, p) * inv_det
-        q = np.cross(tvec, e1)
-        v = np.einsum("ij,ij->i", d, q) * inv_det
-        t = np.einsum("ij,ij->i", e2, q) * inv_det
-        hit = (det != 0.0) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > t_min)
-    return t, u, v, hit
+        s = (o[0] - v0[0], o[1] - v0[1], o[2] - v0[2])
+        u = _dot(s, p) * inv_det
+        # u > 1 fails u + v <= 1 for every v >= 0, so such pairs stop here.
+        cand = np.flatnonzero((det != 0.0) & (u >= 0.0) & (u <= 1.0))
+        s, d, e1, e2 = ([x[cand] for x in vec] for vec in (s, d, e1, e2))
+        u, inv_det = u[cand], inv_det[cand]
+        q = _cross(s, e1)
+        v = _dot(d, q) * inv_det
+        t = _dot(e2, q) * inv_det
+        ok = (v >= 0.0) & (u + v <= 1.0) & (t > T_MIN)
+    return cand[ok], t[ok], u[ok], v[ok]
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -123,11 +146,8 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    reps = np.repeat(starts, counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return reps + offs
+    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(starts, counts) + offs
 
 
 def _validate_dirs(dirs: np.ndarray):
@@ -146,80 +166,69 @@ def intersect_rays(bvh: Bvh, origins: np.ndarray, dirs: np.ndarray):
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     _validate_dirs(dirs)
-    n_rays = len(origins)
-    best_t = np.full(n_rays, np.inf)
-    best_tri = np.full(n_rays, -1, dtype=np.int64)
-    best_u = np.zeros(n_rays)
-    best_v = np.zeros(n_rays)
+    n = len(origins)
+    best = (np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.zeros(n))
+    o, d = origins.T.copy(), dirs.T.copy()
     with np.errstate(divide="ignore"):
-        inv_d = 1.0 / dirs
+        inv_d = 1.0 / d
+    par = [p if p.any() else None for p in np.isinf(inv_d)]  # per axis: d == 0
+    boxes = (bvh.bounds_min.T.copy(), bvh.bounds_max.T.copy())
+    # Triangle data in leaf order, so a leaf's triangles are contiguous.
+    tris = [x[bvh.tri_order].T.copy() for x in (bvh.v0, bvh.e1, bvh.e2)]
+    for lo in range(0, n, RAY_BLOCK):
+        rays = np.arange(lo, min(lo + RAY_BLOCK, n), dtype=np.int64)
+        _traverse(bvh, boxes, tris, (o, d, inv_d, par), rays, best)
+    return best
 
-    rays = np.arange(n_rays, dtype=np.int64)
-    nodes = np.zeros(n_rays, dtype=np.int64)
+
+def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
+    """Breadth-first wavefront of ``rays`` from the root; updates ``best`` in place."""
+    o, d, inv_d, par = ray_data
+    best_t, best_tri, best_u, best_v = best
+    nodes = np.zeros(len(rays), dtype=np.int64)
     while rays.size:
-        o = origins[rays]
-        iv = inv_d[rays]
-        bmin = bvh.bounds_min[nodes]
-        bmax = bvh.bounds_max[nodes]
-        with np.errstate(invalid="ignore"):
-            t1 = (bmin - o) * iv
-            t2 = (bmax - o) * iv
-        near = np.fmin(t1, t2)
-        far = np.fmax(t1, t2)
-        # Axis-parallel rays: 0 * inf above is NaN when the origin sits on a
-        # slab plane.  Such an axis constrains nothing if the origin is
-        # inside the slab (inclusive) and everything if it is outside.
-        par = np.isinf(iv)
-        if par.any():
-            inside = (o >= bmin) & (o <= bmax)
-            near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-            far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-        tnear = np.maximum(near.max(axis=1), 0.0)
-        tfar = far.min(axis=1)
+        for k in range(3):
+            ox, ivk = o[k][rays], inv_d[k][rays]
+            lo, hi = boxes[0][k][nodes], boxes[1][k][nodes]
+            with np.errstate(invalid="ignore"):
+                t1, t2 = (lo - ox) * ivk, (hi - ox) * ivk
+            near, far = np.fmin(t1, t2), np.fmax(t1, t2)
+            # Axis-parallel rays: 0 * inf above is NaN when the origin sits on
+            # a slab plane.  Such an axis constrains nothing if the origin is
+            # inside the slab (inclusive) and everything if it is outside.
+            if par[k] is not None:
+                pk, inside = par[k][rays], (ox >= lo) & (ox <= hi)
+                near = np.where(pk, np.where(inside, -np.inf, np.inf), near)
+                far = np.where(pk, np.where(inside, np.inf, -np.inf), far)
+            tnear = near if k == 0 else np.maximum(tnear, near)
+            tfar = far if k == 0 else np.minimum(tfar, far)
+        tnear = np.maximum(tnear, 0.0)
         keep = (tfar >= tnear) & (tnear <= best_t[rays])
         rays, nodes = rays[keep], nodes[keep]
-        if not rays.size:
-            break
-
         counts = bvh.count[nodes]
         is_leaf = counts > 0
-        leaf_rays = rays[is_leaf]
-        if leaf_rays.size:
-            leaf_counts = counts[is_leaf]
-            pair_rays = np.repeat(leaf_rays, leaf_counts)
-            tri_ids = bvh.tri_order[
-                _concat_ranges(bvh.start[nodes[is_leaf]], leaf_counts)
-            ]
-            t, u, v, ok = _moller_trumbore(
-                origins[pair_rays], dirs[pair_rays],
-                bvh.v0[tri_ids], bvh.e1[tri_ids], bvh.e2[tri_ids],
+        if is_leaf.any():
+            pair_rays = np.repeat(rays[is_leaf], counts[is_leaf])
+            pos = _concat_ranges(bvh.start[nodes[is_leaf]], counts[is_leaf])
+            hit, t, u, v = _moller_trumbore(
+                [x[pair_rays] for x in o], [x[pair_rays] for x in d],
+                *([x[pos] for x in vec] for vec in tris),
             )
-            if np.any(ok):
-                cr, ct, ctri = pair_rays[ok], t[ok], tri_ids[ok]
-                cu, cv = u[ok], v[ok]
-                sel = np.lexsort((ctri, ct, cr))
-                cr, ct, ctri = cr[sel], ct[sel], ctri[sel]
-                cu, cv = cu[sel], cv[sel]
-                first = np.ones(len(cr), dtype=bool)
-                first[1:] = cr[1:] != cr[:-1]
-                cr, ct, ctri = cr[first], ct[first], ctri[first]
-                cu, cv = cu[first], cv[first]
-                better = (ct < best_t[cr]) | (
-                    (ct == best_t[cr]) & (ctri < best_tri[cr])
-                )
-                upd = cr[better]
-                best_t[upd] = ct[better]
-                best_tri[upd] = ctri[better]
-                best_u[upd] = cu[better]
-                best_v[upd] = cv[better]
-
-        inner = ~is_leaf
-        inner_rays = rays[inner]
-        inner_nodes = nodes[inner]
-        rays = np.concatenate([inner_rays, inner_rays])
-        nodes = np.concatenate([bvh.left[inner_nodes], bvh.right[inner_nodes]])
-
-    return best_t, best_tri, best_u, best_v
+            # Smallest (t, triangle id) per ray: scatter-min t, then the id
+            # over the pairs at that t (a nearer t drops the old id), then
+            # u and v of the one pair that won.
+            r, tri = pair_rays[hit], bvh.tri_order[pos[hit]]
+            prev = best_t[r]
+            np.minimum.at(best_t, r, t)
+            now = best_t[r]
+            best_tri[r[now < prev]] = bvh.num_triangles
+            at_best = t == now
+            np.minimum.at(best_tri, r[at_best], tri[at_best])
+            won = at_best & (tri == best_tri[r])
+            best_u[r[won]], best_v[r[won]] = u[won], v[won]
+        inner = nodes[~is_leaf]
+        rays = np.concatenate([rays[~is_leaf]] * 2)
+        nodes = np.concatenate([bvh.left[inner], bvh.right[inner]])
 
 
 def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray, chunk: int = 128):
@@ -231,35 +240,26 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray, c
         raise EmptyScene("cannot intersect an empty mesh")
     verts, tris = mesh.vertices, mesh.triangles
     tv0 = verts[tris[:, 0]]
-    te1 = verts[tris[:, 1]] - tv0
-    te2 = verts[tris[:, 2]] - tv0
+    te1, te2 = verts[tris[:, 1]] - tv0, verts[tris[:, 2]] - tv0
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     _validate_dirs(dirs)
-    n_rays = len(origins)
-    n_tris = len(tris)
-    best_t = np.full(n_rays, np.inf)
+    n_rays, n_tris = len(origins), len(tris)
+    best_t, best_u, best_v = np.full(n_rays, np.inf), np.zeros(n_rays), np.zeros(n_rays)
     best_tri = np.full(n_rays, -1, dtype=np.int64)
-    best_u = np.zeros(n_rays)
-    best_v = np.zeros(n_rays)
     for lo in range(0, n_rays, chunk):
         hi = min(lo + chunk, n_rays)
         m = hi - lo
-        o = np.repeat(origins[lo:hi], n_tris, axis=0)
-        d = np.repeat(dirs[lo:hi], n_tris, axis=0)
-        v0 = np.tile(tv0, (m, 1))
-        e1 = np.tile(te1, (m, 1))
-        e2 = np.tile(te2, (m, 1))
-        t, u, v, ok = _moller_trumbore(o, d, v0, e1, e2)
-        t = np.where(ok, t, np.inf).reshape(m, n_tris)
-        ti = np.argmin(t, axis=1)  # first occurrence = lowest triangle id
-        rows = np.arange(m)
-        tb = t[rows, ti]
-        hit = np.isfinite(tb)
-        best_t[lo:hi] = np.where(hit, tb, np.inf)
-        best_tri[lo:hi] = np.where(hit, ti, -1)
-        flat = rows * n_tris + ti
-        best_u[lo:hi] = np.where(hit, u.reshape(-1)[flat], 0.0)
-        best_v[lo:hi] = np.where(hit, v.reshape(-1)[flat], 0.0)
+        hit, ht, hu, hv = _moller_trumbore(
+            np.repeat(origins[lo:hi], n_tris, axis=0).T,
+            np.repeat(dirs[lo:hi], n_tris, axis=0).T,
+            np.tile(tv0, (m, 1)).T, np.tile(te1, (m, 1)).T, np.tile(te2, (m, 1)).T,
+        )
+        t, u, v = np.full(m * n_tris, np.inf), np.zeros(m * n_tris), np.zeros(m * n_tris)
+        t[hit], u[hit], v[hit] = ht, hu, hv
+        ti = np.argmin(t.reshape(m, n_tris), axis=1)  # first occurrence = lowest triangle id
+        flat = np.arange(m) * n_tris + ti
+        best_t[lo:hi] = t[flat]
+        best_tri[lo:hi] = np.where(np.isfinite(t[flat]), ti, -1)
+        best_u[lo:hi], best_v[lo:hi] = u[flat], v[flat]
     return best_t, best_tri, best_u, best_v
-

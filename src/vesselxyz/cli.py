@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import VesselXyzError
+from .errors import MalformedConfig, VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
 from .geometry import build_pair_set, valid_region
@@ -66,10 +66,19 @@ def parse_dilations(text: str | None):
 
 
 def _load_config(path: str | None, resolution: int | None) -> SceneConfig:
+    if resolution is not None and resolution < 1:
+        raise _UsageError(f"--resolution must be a positive integer, got {resolution}")
     if path is None:
         config = SceneConfig()
     else:
-        config = SceneConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise MalformedConfig(f"{path}: not a JSON document: {e}") from e
+        try:
+            config = SceneConfig.from_dict(d)
+        except MalformedConfig as e:
+            raise MalformedConfig(f"{path}: {e}") from e
     if resolution is not None:
         config = replace(config, resolution=resolution)
     return config
@@ -229,7 +238,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (VesselXyzError, OSError, json.JSONDecodeError) as e:
+    except (VesselXyzError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -61,6 +61,10 @@ class TruncatedPayload(VesselXyzError):
     """A PFM/PGM file ends before its declared payload does."""
 
 
+class MalformedConfig(VesselXyzError):
+    """A scene config is not JSON, or has an unknown key, a wrong type or a value out of range."""
+
+
 class MalformedManifest(VesselXyzError):
     """A scene manifest is not valid JSON or lacks or garbles a field."""
 

@@ -14,11 +14,11 @@ inputs is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidResolution
+from .errors import GenerationFailed, InvalidResolution, MalformedConfig
 from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, _frozen
 
 _FILL_SALT = 11
@@ -156,10 +156,51 @@ class ProfileConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProfileConfig":
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        return cls(**kwargs)
+
+# Each bounded config field must be greater than its value here.
+_CONFIG_FLOORS = {"angular_segments": 2, "vertical_segments": 1, "resolution": 0, "focal_px": 0.0}
+
+
+def _config_fields(cls, d, prefix: str = "") -> dict:
+    """Checked keyword arguments for config dataclass ``cls`` from a JSON object.
+
+    Every key must name a field, and every value must have the shape of the
+    field's default: a nested config object, an integer, a finite number, or
+    a list of those of the default's length.  MalformedConfig names the
+    first bad field.
+    """
+    if not isinstance(d, dict):
+        raise MalformedConfig(f"{prefix.rstrip('.') or 'config'} must be an object, got {d!r}")
+    defaults = cls()
+    known = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in d.items():
+        name = prefix + key
+        if key not in known:
+            raise MalformedConfig(f"field {name!r}: unknown key")
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            kwargs[key] = type(default)(**_config_fields(type(default), value, name + "."))
+            continue
+        items = value if isinstance(default, tuple) else [value]
+        wanted = default if isinstance(default, tuple) else [default]
+        ok = isinstance(items, list) and len(items) == len(wanted) and all(
+            _like(v, w) for v, w in zip(items, wanted)
+        )
+        if not ok:
+            raise MalformedConfig(f"field {name!r}: expected the type of {default!r}, got {value!r}")
+        floor = _CONFIG_FLOORS.get(name)
+        if floor is not None and value <= floor:
+            raise MalformedConfig(f"field {name!r}: must be greater than {floor}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+    return kwargs
+
+
+def _like(value, default) -> bool:
+    """An integer where the default is one, else a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if isinstance(default, int) else math.isfinite(value)
 
 
 def _draw_term(rng: np.random.Generator, config: ProfileConfig, base_radius: float):
@@ -367,10 +408,8 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
-        d = dict(d)
-        profile = ProfileConfig.from_dict(d.pop("profile", {}))
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        return cls(profile=profile, **kwargs)
+        """Parse a config object; MalformedConfig names an unknown or bad field."""
+        return cls(**_config_fields(cls, d))
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,52 @@ def oracle_chamfer(a_pts, b_pts) -> float:
     return float(np.mean(fwd) + np.mean(bwd))
 
 
+# ── naive oracles: bvh ───────────────────────────────────────────────────
+
+def oracle_moller_trumbore(o, d, v0, e1, e2, t_min=1e-9):
+    """Ray/triangle test on (n, 3) arrays with np.cross and einsum; (t, u, v, hit).
+
+    This is the formulation the per-component kernel in ``vesselxyz.bvh``
+    must match bit for bit.
+    """
+    p = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_det = 1.0 / det
+        tvec = o - v0
+        u = np.einsum("ij,ij->i", tvec, p) * inv_det
+        q = np.cross(tvec, e1)
+        v = np.einsum("ij,ij->i", d, q) * inv_det
+        t = np.einsum("ij,ij->i", e2, q) * inv_det
+        hit = (det != 0.0) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > t_min)
+    return t, u, v, hit
+
+
+def oracle_bvh_leaves(mesh: TriMesh, leaf_size: int = 8):
+    """Recursive median split: (triangle order, sorted (start, count) leaves).
+
+    Each node sorts its triangles stably by centroid along the axis of its
+    widest centroid extent and splits at the middle index.
+    """
+    tri = mesh.vertices[mesh.triangles]
+    centroids = (tri.min(axis=1) + tri.max(axis=1)) * 0.5
+    order = np.arange(len(tri))
+    leaves = []
+
+    def split(lo, hi):
+        if hi - lo <= leaf_size:
+            leaves.append((lo, hi - lo))
+            return
+        cent = centroids[order[lo:hi]]
+        axis = int(np.argmax(cent.max(axis=0) - cent.min(axis=0)))
+        order[lo:hi] = order[lo:hi][np.argsort(cent[:, axis], kind="stable")]
+        split(lo, (lo + hi) // 2)
+        split((lo + hi) // 2, hi)
+
+    split(0, len(tri))
+    return order, sorted(leaves)
+
+
 # ── icosphere for renderer tests ─────────────────────────────────────────
 
 def icosphere(subdivisions: int = 4, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:

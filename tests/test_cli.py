@@ -92,6 +92,36 @@ class TestGenerate:
         depth = read_depth_pfm(tmp_path / "9_vessel_depth.pfm")
         assert (depth.height, depth.width) == (32, 32)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"resolution": 64, "bogus": 1}', "bogus"),
+            ('{"profile": {"samples": 64, "sample_count": 8}}', "profile.sample_count"),
+            ('{"resolution": -5}', "resolution"),
+            ('{"focal_px": 0}', "focal_px"),
+            ('{"angular_segments": 2}', "angular_segments"),
+            ('{"vertical_segments": 16.5}', "vertical_segments"),
+            ("resolution: 64", None),
+        ],
+        ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
+             "too-few-angular-segments", "fractional-vertical-segments", "not-json"],
+    )
+    def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert (field or "not a JSON document") in err
+        assert not (out / manifest_name(1)).exists()
+
+    def test_nonpositive_resolution_flag_is_usage_error(self, tmp_path, capsys):
+        code = main(["generate", "--seeds", "1", "--out", str(tmp_path), "--resolution", "0"])
+        assert code == EXIT_USAGE
+        assert "--resolution" in capsys.readouterr().err
+
     def test_console_script_entrypoint(self):
         # runs the [project.scripts] entry point the way pip's generated
         # wrapper does, so no installed copy is needed
@@ -143,6 +173,16 @@ class TestRender:
         a = (gt_batch / "2_vessel_depth.pfm").read_bytes()
         b = (tmp_path / "2_vessel_depth.pfm").read_bytes()
         assert a == b
+
+    def test_bad_config_in_manifest_is_data_error(self, gt_batch, tmp_path, capsys):
+        path = tmp_path / manifest_name(2)
+        doc = json.loads((gt_batch / manifest_name(2)).read_text())
+        doc["config"]["resolution"] = -5
+        path.write_text(json.dumps(doc))
+        code = main(["render", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "'config'" in err and "'resolution'" in err
 
 
 class TestEval:
