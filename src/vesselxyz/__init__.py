@@ -18,6 +18,7 @@ from .errors import (
     GenerationFailed,
     InvalidEndpoint,
     InvalidResolution,
+    InvalidValue,
     MalformedConfig,
     MalformedHeader,
     MalformedManifest,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScene
+from .errors import EmptyScene, InvalidValue
 from .geometry import TriMesh, _frozen
 
 LEAF_SIZE = 8
@@ -153,7 +153,7 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _validate_dirs(dirs: np.ndarray):
     norms = np.linalg.norm(dirs, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("ray directions must be normalized and nonzero")
+        raise InvalidValue("ray directions must be normalized and nonzero")
 
 
 def intersect_rays(bvh: Bvh, origins: np.ndarray, dirs: np.ndarray):

@@ -1,8 +1,11 @@
 """Command-line surface: generate, render, eval, loss, clean-depth.
 
-Exit codes form a stable contract: 0 success, 1 usage error, 2 data error
-(unreadable/malformed inputs, unwritable output), 3 partial batch failure
-(some seeds failed, the rest were emitted).
+Exit codes form a stable contract: 0 success, 1 usage error (a flag the
+CLI cannot use), 2 data error (unreadable/malformed input files or config
+values, unwritable output), 3 partial batch failure (some seeds failed to
+generate or render, the rest were emitted).  Flags are checked while they are
+parsed and fail as ``_UsageError``; every other failure is a
+``VesselXyzError`` or an ``OSError``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import MalformedConfig, VesselXyzError
+from .errors import InvalidValue, MalformedConfig, VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
-from .geometry import build_pair_set, valid_region
+from .geometry import PinholeCamera, build_pair_set, checked_dilations, valid_region
 from .losses import LOSS_KINDS, scale_invariant_loss, translation_invariant_loss
-from .manifest import camera_from_dict, emit_scene, load_manifest, replay_manifest
+from .manifest import emit_scene, load_manifest, replay_manifest
 from .procgen import SceneConfig
 from .renderer import clean_depth
 
@@ -29,8 +32,8 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(argparse.ArgumentTypeError):
+    """A flag the CLI cannot use (exit 1); from a ``type=`` converter, argparse names the flag."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,41 +42,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_seeds(text: str) -> list:
-    """Seed list syntax: comma-separated values and inclusive ranges (1..5 or 1-5)."""
+    """Seed list syntax: comma-separated non-negative values and inclusive ranges (1..5 or 1-5)."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         sep = ".." if ".." in part else ("-" if "-" in part[1:] else None)
-        if sep:
-            lo, hi = part.split(sep, 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        ends = part.split(sep, 1) if sep else (part, part)
+        lo, hi = int(ends[0]), int(ends[1])
+        if lo < 0:
+            raise _UsageError(f"seeds must be non-negative, got {part!r}")
+        if hi < lo:
+            raise _UsageError(f"empty seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        raise _UsageError(f"no seeds in {text!r}")
     return seeds
 
 
-def parse_dilations(text: str | None):
-    if text is None:
-        return None
-    return tuple(int(d) for d in text.split(","))
+def parse_dilations(text: str) -> tuple:
+    """Comma-separated dilations, e.g. 1,2,4: positive and strictly increasing."""
+    try:
+        return checked_dilations(text.split(","))
+    except InvalidValue as e:
+        raise _UsageError(str(e)) from None
+
+
+def positive_int(text: str) -> int:
+    return _positive(int(text))
+
+
+def positive_float(text: str) -> float:
+    return _positive(float(text))
+
+
+def _positive(value):
+    if not value > 0:  # NaN too
+        raise _UsageError(f"must be positive, got {value}")
+    return value
 
 
 def _load_config(path: str | None, resolution: int | None) -> SceneConfig:
-    if resolution is not None and resolution < 1:
-        raise _UsageError(f"--resolution must be a positive integer, got {resolution}")
     if path is None:
         config = SceneConfig()
     else:
         try:
             d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
             raise MalformedConfig(f"{path}: not a JSON document: {e}") from e
         try:
             config = SceneConfig.from_dict(d)
@@ -97,10 +113,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate, render, and write scenes")
-    gen.add_argument("--seeds", required=True, help="e.g. 1..20 or 3,5,9")
+    gen.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1..20 or 3,5,9")
     gen.add_argument("--config", help="scene config JSON (defaults used otherwise)")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--resolution", type=int, help="override render resolution")
+    gen.add_argument("--resolution", type=positive_int, help="override render resolution")
     gen.add_argument("--no-meshes", action="store_true", help="skip OBJ export")
 
     ren = sub.add_parser("render", help="replay one manifest's artifacts")
@@ -111,7 +127,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--gt", required=True, help="directory with manifests + GT artifacts")
     ev.add_argument("--pred", required=True, help="directory with prediction files")
     ev.add_argument("--mode", required=True, choices=MODES)
-    ev.add_argument("--dilations", help="comma-separated, e.g. 1,2,4")
+    ev.add_argument("--dilations", type=parse_dilations, help="comma-separated, e.g. 1,2,4")
     ev.add_argument("--out", help="directory for report.csv / report.txt")
 
     lo = sub.add_parser("loss", help="compute a loss between two XYZ map files")
@@ -119,7 +135,7 @@ def _build_parser() -> _Parser:
     lo.add_argument("--gt", required=True, help="ground-truth XYZ map (.pfm)")
     lo.add_argument("--mask", required=True, help="object mask (.pgm)")
     lo.add_argument("--kind", required=True, choices=LOSS_KINDS)
-    lo.add_argument("--dilations", help="comma-separated, e.g. 1,2,4")
+    lo.add_argument("--dilations", type=parse_dilations, help="comma-separated, e.g. 1,2,4")
 
     cd = sub.add_parser("clean-depth", help="drop masked pixels far from the object center")
     cd.add_argument("--depth", required=True, help="input depth map (.pfm)")
@@ -130,22 +146,21 @@ def _build_parser() -> _Parser:
     cd.add_argument("--fy", type=float)
     cd.add_argument("--cx", type=float)
     cd.add_argument("--cy", type=float)
-    cd.add_argument("--max-offset", type=float, default=0.10, help="meters, default 0.10")
+    cd.add_argument("--max-offset", type=positive_float, default=0.10, help="meters, default 0.10")
     return parser
 
 
 def _cmd_generate(args) -> int:
-    seeds = parse_seeds(args.seeds)
     config = _load_config(args.config, args.resolution)
     out = Path(args.out)
     _probe_writable(out)
     failures = []
-    for seed in seeds:
+    for seed in args.seeds:
         try:
             emit_scene(seed, config, out, write_meshes=not args.no_meshes)
         except VesselXyzError as e:
             failures.append((seed, str(e)))
-    print(f"generated {len(seeds) - len(failures)}/{len(seeds)} scenes in {out}")
+    print(f"generated {len(args.seeds) - len(failures)}/{len(args.seeds)} scenes in {out}")
     if failures:
         for seed, why in failures:
             print(f"FAILED seed {seed}: {why}", file=sys.stderr)
@@ -163,7 +178,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = run_eval(args.gt, args.pred, args.mode, parse_dilations(args.dilations))
+    report = run_eval(args.gt, args.pred, args.mode, args.dilations)
     print(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -177,7 +192,7 @@ def _cmd_loss(args) -> int:
     pred = read_xyz_pfm(args.pred)
     gt = read_xyz_pfm(args.gt)
     mask = read_pgm(args.mask)
-    pairs = build_pair_set(valid_region(mask, pred, gt), parse_dilations(args.dilations))
+    pairs = build_pair_set(valid_region(mask, pred, gt), args.dilations)
     if args.kind == "translation_invariant":
         report = translation_invariant_loss(pred, gt, pairs)
     else:
@@ -197,14 +212,10 @@ def _cmd_clean_depth(args) -> int:
     if args.manifest:
         camera = load_manifest(args.manifest).camera
     elif None not in (args.fx, args.fy, args.cx, args.cy):
-        camera = camera_from_dict(
-            {
-                "fx": args.fx, "fy": args.fy, "cx": args.cx, "cy": args.cy,
-                "width": depth.width, "height": depth.height,
-                "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                "translation": [0, 0, 0],
-            }
-        )
+        try:
+            camera = PinholeCamera(args.fx, args.fy, args.cx, args.cy, depth.width, depth.height)
+        except VesselXyzError as e:
+            raise _UsageError(f"--fx/--fy/--cx/--cy: {e}") from None
     else:
         raise _UsageError("clean-depth needs --manifest or all of --fx/--fy/--cx/--cy")
     cleaned = clean_depth(depth, camera, mask, max_offset=args.max_offset)
@@ -224,18 +235,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (VesselXyzError, OSError) as e:

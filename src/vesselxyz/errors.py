@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all vesselxyz modules."""
+"""Exception hierarchy shared by all vesselxyz modules; the only errors the library raises."""
 
 
 class VesselXyzError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidValue(VesselXyzError, ValueError):
+    """An argument or input value lies outside its domain (e.g. a non-positive focal length)."""
 
 
 class DimensionMismatch(VesselXyzError):

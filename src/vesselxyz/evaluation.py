@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import __version__
-from .errors import MissingPrediction, VesselXyzError
+from .errors import InvalidValue, MalformedManifest, MissingPrediction, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
 from .geometry import SegMask, XyzMap, default_dilations, valid_region
 from .manifest import ROLES, SceneManifest, load_manifest
@@ -30,12 +30,14 @@ MODES = ("vessel-scale", "content-scale", "segmentation")
 
 
 def find_manifests(gt_dir) -> list:
-    paths = sorted(Path(gt_dir).glob("*_manifest.json"), key=_manifest_seed)
-    return paths
+    return sorted(Path(gt_dir).glob("*_manifest.json"), key=_manifest_seed)
 
 
 def _manifest_seed(path: Path) -> int:
-    return int(path.name.split("_", 1)[0])
+    try:
+        return int(path.name.split("_", 1)[0])
+    except ValueError as e:
+        raise MalformedManifest(f"{path}: file name does not start with an integer seed") from e
 
 
 def _gt_xyz(manifest: SceneManifest, gt_dir: Path, role: str) -> XyzMap:
@@ -126,7 +128,7 @@ def evaluate_scene_seg(manifest: SceneManifest, gt_dir, pred_dir) -> list:
 def run_eval(gt_dir, pred_dir, mode: str, dilations=None) -> ReportDocument:
     """Evaluate every scene manifest in ``gt_dir`` against ``pred_dir``."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidValue(f"mode must be one of {MODES}, got {mode!r}")
     manifest_paths = find_manifests(gt_dir)
     if not manifest_paths:
         raise MissingPrediction(f"no *_manifest.json files under {gt_dir}")

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     EmptyMask,
     InvalidEndpoint,
+    InvalidValue,
     NonPositiveDepth,
 )
 
@@ -132,11 +133,6 @@ class XyzMap:
     def width(self) -> int:
         return self.coords.shape[1]
 
-    def points(self, mask: "SegMask | None" = None) -> np.ndarray:
-        """Valid pixels as an (N, 3) array, optionally restricted to a mask."""
-        sel = self.valid if mask is None else (self.valid & mask.values)
-        return self.coords[sel]
-
     def shifted(self, offset) -> "XyzMap":
         """New map translated by a constant per-axis offset."""
         off = np.asarray(offset, dtype=np.float64).reshape(3)
@@ -163,15 +159,17 @@ class PinholeCamera:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+            raise InvalidValue("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise InvalidValue("principal point must lie inside the image")
         r = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise DimensionMismatch("rotation must be 3x3")
+        if not np.all(np.isfinite([self.fx, self.fy, *r.ravel(), *t])):
+            raise InvalidValue("camera focal lengths, rotation and translation must be finite")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation must be orthonormal with determinant +1")
+            raise InvalidValue("rotation must be orthonormal with determinant +1")
         object.__setattr__(self, "rotation", _frozen(r))
         object.__setattr__(self, "translation", _frozen(t))
 
@@ -183,10 +181,6 @@ class PinholeCamera:
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def camera_to_world(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts - self.translation) @ self.rotation
 
 
 @dataclass(frozen=True)
@@ -234,13 +228,15 @@ class TriMesh:
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         if self.label not in MESH_LABELS:
-            raise ValueError(f"label must be one of {MESH_LABELS}")
+            raise InvalidValue(f"label must be one of {MESH_LABELS}")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise DimensionMismatch("triangle indices out of range")
+        if not np.all(np.isfinite(v)):
+            raise InvalidValue("mesh vertices must be finite")
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "triangles", _frozen(t))
         if np.any(self.triangle_areas() <= MIN_TRIANGLE_AREA):
-            raise ValueError("mesh contains degenerate triangles")
+            raise InvalidValue("mesh contains degenerate triangles")
 
     @property
     def num_triangles(self) -> int:
@@ -282,10 +278,10 @@ class MaterialVector:
         for name in ("transmission", "roughness", "metallic", "ior"):
             v = float(getattr(self, name))
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+                raise InvalidValue(f"{name}={v} outside [0, 1]")
             object.__setattr__(self, name, v)
         if any(not 0.0 <= c <= 1.0 for c in rgb):
-            raise ValueError(f"rgb {rgb} outside [0, 1]")
+            raise InvalidValue(f"rgb {rgb} outside [0, 1]")
 
     @property
     def ior_physical(self) -> float:
@@ -354,6 +350,14 @@ def xyz_to_depth(xyz: XyzMap, camera: PinholeCamera) -> DepthMap:
     return DepthMap(z, xyz.valid)
 
 
+def checked_dilations(dilations) -> tuple:
+    """``dilations`` as integers; InvalidValue unless positive and strictly increasing."""
+    dil = tuple(int(d) for d in dilations)
+    if any(d <= 0 for d in dil) or any(b <= a for a, b in zip(dil, dil[1:])):
+        raise InvalidValue(f"dilations must be positive and strictly increasing: {list(dil)}")
+    return dil
+
+
 def build_pair_set(mask: SegMask, dilations=None) -> PairSet:
     """Enumerate all in-mask pixel pairs (p, p + d) per dilation and direction.
 
@@ -365,14 +369,12 @@ def build_pair_set(mask: SegMask, dilations=None) -> PairSet:
         raise EmptyMask("cannot build pairs over an empty mask")
     if dilations is None:
         dilations = default_dilations(mask.height, mask.width)
-    dil = [int(d) for d in dilations]
-    if any(d <= 0 for d in dil) or any(b <= a for a, b in zip(dil, dil[1:])):
-        raise ValueError(f"dilations must be positive and strictly increasing: {dil}")
+    dil = checked_dilations(dilations)
 
     h, w = mask.height, mask.width
     m = mask.values
     flat = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    firsts, seconds = [], []
+    firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for d in dil:
         if d < w:
             both = m[:, : w - d] & m[:, d:]
@@ -382,13 +384,7 @@ def build_pair_set(mask: SegMask, dilations=None) -> PairSet:
             both = m[: h - d, :] & m[d:, :]
             firsts.append(flat[: h - d, :][both])
             seconds.append(flat[d:, :][both])
-    if firsts:
-        first = np.concatenate(firsts)
-        second = np.concatenate(seconds)
-    else:
-        first = np.empty(0, dtype=np.int64)
-        second = np.empty(0, dtype=np.int64)
-    return PairSet(first, second, tuple(dil), (h, w))
+    return PairSet(np.concatenate(firsts), np.concatenate(seconds), dil, (h, w))
 
 
 def pair_differences(xyz: XyzMap, pairs: PairSet) -> np.ndarray:

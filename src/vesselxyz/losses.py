@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScale, DimensionMismatch, EmptyMask, EmptyPairSet, InvalidEndpoint
+from .errors import (
+    DegenerateScale, DimensionMismatch, EmptyMask, EmptyPairSet, InvalidEndpoint, InvalidValue,
+)
 from .geometry import PairSet, SegMask, XyzMap, pair_differences
 
 SCALE_CEILING = 10.0
@@ -189,7 +191,7 @@ def loss_gradient(
     gradient), matching how a shared vessel scale is used.
     """
     if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+        raise InvalidValue(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
     n_terms = d_gt.size  # 3 * |pairs|
 

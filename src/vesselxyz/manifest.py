@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedManifest, VesselXyzError
+from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
 from .geometry import MaterialVector, PinholeCamera, SegMask
 from .procgen import SceneConfig, SceneRecord, VesselProfile, assemble_scene
@@ -128,7 +128,7 @@ class SceneManifest:
 
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise InvalidValue(f"expected an integer, got {value!r}")
     return value
 
 
@@ -152,7 +152,7 @@ def write_manifest(manifest: SceneManifest, path) -> None:
 def load_manifest(path) -> SceneManifest:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
         raise MalformedManifest(f"{path}: not a JSON document: {e}") from e
     try:
         return SceneManifest.from_dict(d)

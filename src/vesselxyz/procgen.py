@@ -14,11 +14,12 @@ inputs is bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidResolution, MalformedConfig
+from .errors import GenerationFailed, InvalidResolution, InvalidValue, MalformedConfig
 from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, _frozen
 
 _FILL_SALT = 11
@@ -65,8 +66,7 @@ class SinusoidTerm:
 
 
 def term_to_dict(term) -> dict:
-    d = {"kind": type(term).__name__, **asdict(term)}
-    return d
+    return {"kind": type(term).__name__, **asdict(term)}
 
 
 def term_from_dict(d: dict):
@@ -92,8 +92,8 @@ class VesselProfile:
     def __post_init__(self):
         if self.samples < 2:
             raise InvalidResolution("profile needs at least 2 knots")
-        if self.base_radius <= 0 or self.height <= 0:
-            raise ValueError("base_radius and height must be positive")
+        if not (self.base_radius > 0 and self.height > 0):
+            raise InvalidValue("base_radius and height must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
         hs = np.linspace(0.0, self.height, self.samples)
         u = hs / self.height
@@ -114,10 +114,6 @@ class VesselProfile:
     @property
     def rim_radius(self) -> float:
         return float(self._knot_radii[-1])
-
-    def min_radius(self, grid: int = 10000) -> float:
-        hs = np.linspace(0.0, self.height, grid)
-        return float(np.min(self.radius(hs)))
 
     def to_dict(self) -> dict:
         return {
@@ -153,12 +149,26 @@ class ProfileConfig:
     samples: int = 1024
     max_retries: int = 100
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-# Each bounded config field must be greater than its value here.
-_CONFIG_FLOORS = {"angular_segments": 2, "vertical_segments": 1, "resolution": 0, "focal_px": 0.0}
+# (comparison, bound) pairs every value of a field, or both ends of a range
+# field, must meet; SceneConfig.from_dict also needs wall_clearance < min_radius.
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_CONFIG_BOUNDS = {
+    "angular_segments": ((">", 2),),
+    "vertical_segments": ((">", 1),),
+    "resolution": ((">", 0),),
+    "focal_px": ((">", 0.0),),
+    "wall_clearance": ((">", 0.0),),
+    "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
+    "camera_distance": ((">", 0.0),),
+    "ground_half_extent": ((">", 0.0),),
+    "profile.height": ((">", 0.0),),
+    "profile.base_radius": ((">", 0.0),),
+    "profile.min_radius": ((">", 0.0),),
+    "profile.poly_degrees": ((">=", 0),),
+    "profile.samples": ((">=", 2),),
+    "profile.max_retries": ((">=", 1),),
+}
 
 
 def _config_fields(cls, d, prefix: str = "") -> dict:
@@ -189,9 +199,11 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
         )
         if not ok:
             raise MalformedConfig(f"field {name!r}: expected the type of {default!r}, got {value!r}")
-        floor = _CONFIG_FLOORS.get(name)
-        if floor is not None and value <= floor:
-            raise MalformedConfig(f"field {name!r}: must be greater than {floor}, got {value!r}")
+        for op, bound in _CONFIG_BOUNDS.get(name, ()):
+            if not all(_COMPARE[op](v, bound) for v in items):
+                raise MalformedConfig(f"field {name!r}: must be {op} {bound}, got {value!r}")
+        if isinstance(default, tuple) and items[0] > items[1]:
+            raise MalformedConfig(f"field {name!r}: low end above high end in {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return kwargs
 
@@ -332,7 +344,7 @@ def flat_liquid_fill(
     yields an empty mesh.
     """
     if not 0.0 <= fill_fraction <= 1.0:
-        raise ValueError("fill_fraction must lie in [0, 1]")
+        raise InvalidValue("fill_fraction must lie in [0, 1]")
     if angular_segments < 3 or vertical_segments < 2:
         raise InvalidResolution("need >= 3 angular and >= 2 vertical segments")
     top = fill_fraction * profile.height - clearance
@@ -402,14 +414,18 @@ class SceneConfig:
     ground_half_extent: float = 2.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["profile"] = self.profile.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
         """Parse a config object; MalformedConfig names an unknown or bad field."""
-        return cls(**_config_fields(cls, d))
+        config = cls(**_config_fields(cls, d))
+        clearance, limit = config.wall_clearance, config.profile.min_radius
+        if clearance >= limit:  # so content radii, at least knot radii - clearance, stay positive
+            raise MalformedConfig(
+                f"field 'wall_clearance': must be < profile.min_radius {limit}, got {clearance}"
+            )
+        return config
 
 
 @dataclass(frozen=True)
@@ -437,7 +453,6 @@ def look_at_camera(
     cy: float,
     width: int,
     height: int,
-    up=(0.0, 1.0, 0.0),
 ) -> PinholeCamera:
     """Camera at ``eye`` looking toward ``target`` (CV frame: X right, Y down, Z forward)."""
     eye = np.asarray(eye, dtype=np.float64)
@@ -445,10 +460,10 @@ def look_at_camera(
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-12:
-        raise ValueError("eye and target coincide")
+        raise InvalidValue("eye and target coincide")
     forward = forward / norm
-    upv = np.asarray(up, dtype=np.float64)
-    if abs(float(np.dot(forward, upv))) > 0.999 * np.linalg.norm(upv):
+    upv = np.array([0.0, 1.0, 0.0])  # world up, unless the view is within ~2.6 deg of vertical
+    if abs(float(forward[1])) > 0.999:
         upv = np.array([0.0, 0.0, 1.0])
     right = np.cross(forward, upv)
     right = right / np.linalg.norm(right)

@@ -37,7 +37,6 @@ class RenderOutput:
     opening_xyz: XyzMap
     vessel_mask: SegMask
     content_mask: SegMask
-    normals: np.ndarray | None = None
 
 
 def camera_rays(camera: PinholeCamera):
@@ -82,15 +81,14 @@ class _SceneHits:
         self.label_index = {label: mi for mi, (label, _, _) in enumerate(self.hits)}
 
     def combine(self, labels):
-        """Nearest hit over the meshes named in ``labels``.
+        """Nearest hit ``(t, mesh index)`` per ray over the meshes named in ``labels``.
 
-        Ties resolve to (t, mesh order, triangle id), so splitting a scene
-        into more meshes never changes the result.
+        Ties in t resolve to the earlier mesh, so splitting a scene into more
+        meshes never changes the result.
         """
         n = len(self.axial)
         best_t = np.full(n, np.inf)
         best_mesh = np.full(n, -1, dtype=np.int64)
-        best_tri = np.full(n, -1, dtype=np.int64)
         for mi, (label, t, tri) in enumerate(self.hits):
             if label not in labels:
                 continue
@@ -99,8 +97,7 @@ class _SceneHits:
             )
             best_t[better] = t[better]
             best_mesh[better] = mi
-            best_tri[better] = tri[better]
-        return best_t, best_mesh, best_tri
+        return best_t, best_mesh
 
     def depth_of(self, t: np.ndarray, valid: np.ndarray) -> DepthMap:
         cam = self.camera
@@ -113,7 +110,7 @@ def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
     """Depth map of arbitrary geometry (a TriMesh or a list of TriMeshes)."""
     meshes = [geometry] if isinstance(geometry, TriMesh) else list(geometry)
     hits = _SceneHits(meshes, camera)
-    t, mesh_idx, _ = hits.combine({m.label for m in hits.meshes})
+    t, mesh_idx = hits.combine({m.label for m in hits.meshes})
     return hits.depth_of(t, mesh_idx >= 0)
 
 
@@ -129,7 +126,7 @@ def _difference_mask(
     return SegMask((flip | moved).reshape(shape))
 
 
-def render_scene(scene: SceneRecord, with_normals: bool = False) -> RenderOutput:
+def render_scene(scene: SceneRecord) -> RenderOutput:
     """Render every ground-truth map of a scene from its camera.
 
     The full scene is vessel + content + ground; content maps come from the
@@ -145,10 +142,10 @@ def render_scene(scene: SceneRecord, with_normals: bool = False) -> RenderOutput
     hits = _SceneHits([scene.vessel, scene.content, ground, scene.opening], camera)
     shape = (camera.height, camera.width)
 
-    t_full, mesh_full, tri_full = hits.combine({"vessel", "content", "ground"})
-    t_nov, mesh_nov, _ = hits.combine({"content", "ground"})
-    t_gnd, mesh_gnd, _ = hits.combine({"ground"})
-    t_open, mesh_open, _ = hits.combine({"opening"})
+    t_full, mesh_full = hits.combine({"vessel", "content", "ground"})
+    t_nov, mesh_nov = hits.combine({"content", "ground"})
+    t_gnd, mesh_gnd = hits.combine({"ground"})
+    t_open, mesh_open = hits.combine({"opening"})
 
     def first_hit_is(mesh_idx: np.ndarray, label: str) -> np.ndarray:
         if label not in hits.label_index:
@@ -166,10 +163,6 @@ def render_scene(scene: SceneRecord, with_normals: bool = False) -> RenderOutput
         t_nov, mesh_nov >= 0, t_gnd, mesh_gnd >= 0, hits.axial, shape
     )
 
-    normals = None
-    if with_normals:
-        normals = _hit_normals(hits.meshes, t_full, mesh_full, tri_full, shape)
-
     return RenderOutput(
         vessel_depth=vessel_depth,
         content_depth=content_depth,
@@ -179,25 +172,7 @@ def render_scene(scene: SceneRecord, with_normals: bool = False) -> RenderOutput
         opening_xyz=depth_to_xyz(opening_depth, camera),
         vessel_mask=vessel_mask,
         content_mask=content_mask,
-        normals=normals,
     )
-
-
-def _hit_normals(meshes, t, mesh_idx, tri_idx, shape) -> np.ndarray:
-    """Unit geometric normal of the first-hit triangle, NaN at misses."""
-    normals = np.full((len(t), 3), np.nan)
-    for mi, mesh in enumerate(meshes):
-        sel = mesh_idx == mi
-        if not np.any(sel):
-            continue
-        tris = mesh.triangles[tri_idx[sel]]
-        a = mesh.vertices[tris[:, 0]]
-        b = mesh.vertices[tris[:, 1]]
-        c = mesh.vertices[tris[:, 2]]
-        n = np.cross(b - a, c - a)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        normals[sel] = n
-    return normals.reshape(shape[0], shape[1], 3)
 
 
 def clean_depth(

@@ -12,7 +12,9 @@ import pytest
 
 import vesselxyz
 from vesselxyz import read_depth_pfm, read_xyz_pfm, write_pfm
-from vesselxyz.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main, parse_seeds
+from vesselxyz.cli import (
+    EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _UsageError, main, parse_seeds,
+)
 from vesselxyz.manifest import manifest_name
 
 
@@ -48,7 +50,7 @@ class TestParseSeeds:
         assert parse_seeds("1..2,9") == [1, 2, 9]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(_UsageError):
             parse_seeds(",")
 
 
@@ -102,9 +104,26 @@ class TestGenerate:
             ('{"angular_segments": 2}', "angular_segments"),
             ('{"vertical_segments": 16.5}', "vertical_segments"),
             ("resolution: 64", None),
+            ('{"profile": {"term_count": [4, 1]}}', "profile.term_count"),
+            ('{"profile": {"height": [-0.1, 0.2]}}', "profile.height"),
+            ('{"fill_fraction": [0.5, 1.5]}', "fill_fraction"),
+            ('{"profile": {"poly_degrees": [-3, -2]}}', "profile.poly_degrees"),
+            ('{"wall_clearance": 0.05}', "wall_clearance"),
+            ('{"wall_clearance": -1e-4}', "wall_clearance"),
+            ('{"camera_distance": [0.0, 0.5]}', "camera_distance"),
+            ('{"ground_half_extent": -2.0}', "ground_half_extent"),
+            ('{"profile": {"base_radius": [0.0, 0.05]}}', "profile.base_radius"),
+            ('{"profile": {"min_radius": 0.0}}', "profile.min_radius"),
+            ('{"profile": {"samples": 1}}', "profile.samples"),
+            ('{"profile": {"max_retries": 0}}', "profile.max_retries"),
+            ("[" * 100000, None),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
-             "too-few-angular-segments", "fractional-vertical-segments", "not-json"],
+             "too-few-angular-segments", "fractional-vertical-segments", "not-json",
+             "reversed-term-count", "negative-height", "fill-above-one",
+             "negative-poly-degrees", "clearance-above-min-radius", "negative-clearance",
+             "zero-camera-distance", "negative-ground", "zero-base-radius",
+             "zero-min-radius", "one-profile-sample", "no-retries", "nested-too-deep"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
@@ -121,6 +140,20 @@ class TestGenerate:
         code = main(["generate", "--seeds", "1", "--out", str(tmp_path), "--resolution", "0"])
         assert code == EXIT_USAGE
         assert "--resolution" in capsys.readouterr().err
+
+    def test_degenerate_meshes_fail_per_seed(self, tmp_path, capsys):
+        # a nanometer-high vessel has degenerate triangles: each seed fails
+        # on its own and the batch exits 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"height": [1e-9, 1e-9]}}))
+        code = main(
+            ["generate", "--seeds", "1..3", "--config", str(cfg), "--resolution", "16",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_PARTIAL
+        failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED seed" in line]
+        assert len(failed) == 3
+        assert all("degenerate" in line for line in failed)
 
     def test_console_script_entrypoint(self):
         # runs the [project.scripts] entry point the way pip's generated
@@ -162,6 +195,41 @@ class TestGenerate:
         )
         assert out.returncode == EXIT_OK, out.stderr
         assert out.stdout == f"vesselxyz {vesselxyz.__version__}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--seeds", "5..3"], "--seeds"),
+        (["generate", "--seeds=-3"], "--seeds"),
+        (["generate", "--seeds", "1,x"], "--seeds"),
+        (["eval", "--mode", "content-scale", "--dilations", "4,2"], "--dilations"),
+        (["loss", "--kind", "scale_invariant", "--dilations", "0,1"], "--dilations"),
+        (["clean-depth", "--fx", "-1", "--fy", "100", "--cx", "1", "--cy", "1"], "--fx"),
+        (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1e9", "--cy", "1"], "--cx"),
+        (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1", "--cy", "1",
+          "--max-offset=-1"], "--max-offset"),
+        (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1", "--cy", "1",
+          "--max-offset", "nan"], "--max-offset"),
+    ],
+    ids=["empty-seed-range", "negative-seed", "non-numeric-seed", "eval-decreasing-dilations",
+         "loss-zero-dilation", "negative-fx", "cx-outside-image", "negative-max-offset",
+         "nan-max-offset"],
+)
+def test_bad_flag_is_usage_error(gt_batch, tmp_path, capsys, argv, flag):
+    files = {
+        "generate": ["--out", str(tmp_path / "o")],
+        "eval": ["--gt", str(gt_batch), "--pred", str(gt_batch)],
+        "loss": ["--pred", str(gt_batch / "1_vessel_xyz.pfm"),
+                 "--gt", str(gt_batch / "1_vessel_xyz.pfm"),
+                 "--mask", str(gt_batch / "1_vessel_mask.pgm")],
+        "clean-depth": ["--depth", str(gt_batch / "1_vessel_depth.pfm"),
+                        "--mask", str(gt_batch / "1_vessel_mask.pgm"),
+                        "--out", str(tmp_path / "c.pfm")],
+    }[argv[0]]
+    assert main(argv + files) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestRender:
@@ -318,6 +386,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(path) in err
         assert keys[-1] in err
+
+    def test_stray_manifest_name_is_data_error(self, gt_batch, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        shutil.copytree(gt_batch, gt)
+        stray = gt / "x_manifest.json"
+        shutil.copy(gt / manifest_name(1), stray)
+        code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "content-scale"])
+        assert code == EXIT_DATA
+        assert str(stray) in capsys.readouterr().err
 
     def test_wrong_size_prediction_is_absent(self, gt_batch, tmp_path):
         # a readable 32x32 vessel prediction cannot be scored against 64x64 GT

@@ -1,0 +1,115 @@
+"""Property tests: no input file makes the CLI report a usage error or crash.
+
+A bad file is a data error (exit 2), never a usage error (exit 1) and never
+a traceback; a readable file passes (exit 0).  ``generate`` may also exit 3,
+when a config in range still fails to give a scene for a seed.
+"""
+
+import json
+import shutil
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vesselxyz import ProfileConfig, SceneConfig
+from vesselxyz.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
+
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def tiny_gt(tmp_path_factory):
+    """One 32x32 scene with every object in view."""
+    out = tmp_path_factory.mktemp("gt")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps(
+        {"resolution": 32, "focal_px": 40.0, "angular_segments": 16, "vertical_segments": 8}
+    ))
+    assert main(["generate", "--seeds", "1", "--config", str(cfg), "--no-meshes",
+                 "--out", str(out)]) == EXIT_OK
+    cfg.unlink()
+    return out
+
+
+def _near(original: bytes):
+    """Arbitrary bytes, and bytes made from ``original`` by cutting, patching or a new tail."""
+    n = len(original)
+    return st.one_of(
+        st.binary(max_size=256),
+        st.integers(0, n - 1).map(lambda i: original[:i]),
+        st.tuples(st.integers(0, n - 1), st.binary(min_size=1, max_size=8)).map(
+            lambda p: original[: p[0]] + p[1] + original[p[0] + len(p[1]):]
+        ),
+        st.tuples(st.integers(0, min(n, 48)), st.binary(max_size=64)).map(
+            lambda p: original[: p[0]] + p[1]
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, side, mode",
+    [
+        ("1_manifest.json", "gt", "vessel-scale"),
+        ("1_vessel_xyz.pfm", "gt", "content-scale"),
+        ("1_content_xyz.valid.pgm", "gt", "content-scale"),
+        ("1_vessel_mask.pgm", "gt", "segmentation"),
+        ("1_vessel_xyz.pfm", "pred", "vessel-scale"),
+        ("1_opening_xyz.valid.pgm", "pred", "content-scale"),
+        ("1_content_mask.pgm", "pred", "segmentation"),
+    ],
+)
+@FUZZ
+@given(data=st.data())
+def test_eval_of_any_file_bytes(tiny_gt, name, side, mode, data):
+    blob = data.draw(_near((tiny_gt / name).read_bytes()), label="bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        changed = Path(tmp) / "changed"
+        shutil.copytree(tiny_gt, changed)
+        (changed / name).write_bytes(blob)
+        gt, pred = (changed, tiny_gt) if side == "gt" else (tiny_gt, changed)
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", mode])
+    assert code in (EXIT_OK, EXIT_DATA)
+
+
+def _like(default):
+    """Values of the default's type and shape, on both sides of every bound."""
+    if isinstance(default, tuple):
+        return st.lists(_like(default[0]), min_size=2, max_size=2)
+    if isinstance(default, int):
+        return st.integers(-2, 40)
+    return st.one_of(
+        st.floats(-1.0, 1.0), st.sampled_from([1e-9, 0.005, 0.05, 2.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+def _some_keys(table):
+    return st.lists(st.sampled_from(sorted(table)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: table[key] for key in keys})
+    )
+
+
+def _configs():
+    """Config objects setting up to three scene and three profile fields, or an unknown key."""
+    scene = {f.name: _like(getattr(SceneConfig(), f.name)) for f in fields(SceneConfig)}
+    del scene["profile"]
+    scene["bogus"] = st.just(1)
+    profile = {f.name: _like(getattr(ProfileConfig(), f.name)) for f in fields(ProfileConfig)}
+    return st.tuples(_some_keys(scene), _some_keys(profile)).map(
+        lambda p: {**p[0], "profile": p[1]} if p[1] else p[0]
+    )
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=128), _configs().map(lambda d: json.dumps(d).encode())))
+def test_generate_with_any_config_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_bytes(blob)
+        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "8",
+                     "--no-meshes", "--out", str(Path(tmp) / "o")])
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_PARTIAL)

@@ -8,9 +8,11 @@ from vesselxyz import (
     DimensionMismatch,
     EmptyMask,
     InvalidEndpoint,
+    InvalidValue,
     NonPositiveDepth,
     PinholeCamera,
     SegMask,
+    TriMesh,
     XyzMap,
     build_pair_set,
     default_dilations,
@@ -102,6 +104,27 @@ class TestMapTypes:
         bad[0, 0] = 1.1
         with pytest.raises(ValueError):
             PinholeCamera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2, rotation=bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("translation", [0.0, np.nan, 0.0]),
+            ("rotation", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]]),
+            ("fx", np.inf),
+        ],
+        ids=["nan-translation", "nan-rotation", "infinite-fx"],
+    )
+    def test_camera_rejects_non_finite(self, field, value):
+        params = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
+        params[field] = value
+        with pytest.raises(InvalidValue):
+            PinholeCamera(**params)
+
+    def test_mesh_rejects_non_finite_vertex(self):
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        vertices[1, 2] = np.nan
+        with pytest.raises(InvalidValue):
+            TriMesh(vertices, [[0, 1, 2]], "content")
 
 
 class TestBuildPairSet:

@@ -80,7 +80,8 @@ class TestProfiles:
         config = ProfileConfig()
         for seed in range(40):
             prof = generate_profile(seed, config)
-            assert prof.min_radius(10000) > config.min_radius
+            hs = np.linspace(0.0, prof.height, 10000)
+            assert float(np.min(prof.radius(hs))) > config.min_radius
 
     def test_generation_failed_on_impossible_config(self):
         # base radius already below the positivity floor: every draw fails

@@ -175,13 +175,6 @@ class TestRenderScene:
         assert out.content_mask.count == 0
         assert not out.content_depth.valid.any()
 
-    def test_normals_unit_length_at_hits(self):
-        scene = assemble_scene(5)
-        out = render_scene(scene, with_normals=True)
-        any_hit = np.isfinite(out.normals).all(axis=-1)
-        norms = np.linalg.norm(out.normals[any_hit], axis=-1)
-        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
-
     def test_deterministic(self):
         a = render_scene(assemble_scene(6))
         b = render_scene(assemble_scene(6))
