@@ -150,9 +150,8 @@ def read_xyz_pfm(path) -> XyzMap:
 
 def write_obj(path, mesh: TriMesh) -> None:
     """ASCII OBJ for inspection; deterministic float formatting."""
-    lines = [f"# {mesh.label}: {len(mesh.vertices)} vertices, {mesh.num_triangles} triangles"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    n, m = len(mesh.vertices), mesh.num_triangles
+    header = f"# {mesh.label}: {n} vertices, {m} triangles\n"
+    vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(mesh.vertices.ravel().tolist())
+    faces = ("f %d %d %d\n" * m) % tuple((mesh.triangles + 1).ravel().tolist())
+    Path(path).write_text(header + vertices + faces, encoding="ascii")

@@ -202,10 +202,15 @@ class PairSet:
         b = np.asarray(self.second, dtype=np.int64)
         if a.shape != b.shape or a.ndim != 1:
             raise DimensionMismatch("pair index arrays must be equal-length 1-D")
+        h, w = int(self.shape[0]), int(self.shape[1])
+        if h <= 0 or w <= 0:
+            raise InvalidValue(f"pair set shape must be positive, got {(h, w)}")
+        if a.size and not (min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < h * w):
+            raise InvalidValue(f"pair indices must lie in [0, {h * w}) for shape {(h, w)}")
         object.__setattr__(self, "first", _frozen(a))
         object.__setattr__(self, "second", _frozen(b))
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
-        object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
+        object.__setattr__(self, "shape", (h, w))
 
     def __len__(self) -> int:
         return int(self.first.shape[0])
@@ -404,4 +409,5 @@ def pair_differences(xyz: XyzMap, pairs: PairSet) -> np.ndarray:
     ):
         raise InvalidEndpoint("pair set references invalid pixels")
     flat = xyz.coords.reshape(-1, 3)
-    return flat[pairs.first] - flat[pairs.second]
+    diff = np.take(flat, pairs.first, axis=0)
+    return np.subtract(diff, np.take(flat, pairs.second, axis=0), out=diff)

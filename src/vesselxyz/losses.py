@@ -122,7 +122,7 @@ def scale_invariant_loss(
 ) -> LossReport:
     """Mean absolute error after rescaling predicted differences by K.
 
-    K is computed internally unless supplied (suppling the vessel's K to its
+    K is computed internally unless supplied (supplying the vessel's K to its
     content/opening shares one scale across overlapping objects).  The mean
     runs over all pairs and axes; the sign-consistency restriction applies
     only to K itself.  When K leaves [SCALE_FLOOR, SCALE_CEILING] the control
@@ -167,12 +167,11 @@ def translation_consistency_loss(
 
 
 def _scatter_pair_grad(pairs: PairSet, per_pair: np.ndarray) -> np.ndarray:
-    """Accumulate per-pair (N, 3) contributions onto the (H*W, 3) pixel grid."""
+    """Sum per-pair (N, 3) rows onto the grid: every +row at first, then every -row at second."""
     h, w = pairs.shape
-    grad = np.zeros((h * w, 3), dtype=np.float64)
-    np.add.at(grad, pairs.first, per_pair)
-    np.add.at(grad, pairs.second, -per_pair)
-    return grad.reshape(h, w, 3)
+    idx = np.concatenate([pairs.first, pairs.second])
+    cols = [np.bincount(idx, np.concatenate([c, -c]), h * w) for c in per_pair.T]
+    return np.stack(cols, axis=1).reshape(h, w, 3)
 
 
 def loss_gradient(
@@ -187,11 +186,13 @@ def loss_gradient(
     Returns an (H, W, 3) array; pixels that no pair touches get zero.  For
     ``scale_invariant`` the main term treats K as a constant while the
     control term's gradient flows through K's dependence on the predicted
-    differences.  Supplying ``k`` freezes it entirely (no control-term
-    gradient), matching how a shared vessel scale is used.
+    differences.  Supplying ``k`` (scale-invariant only) freezes it entirely
+    (no control-term gradient), matching how a shared vessel scale is used.
     """
     if loss_kind not in LOSS_KINDS:
         raise InvalidValue(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+    if loss_kind == "translation_invariant" and k is not None:
+        raise InvalidValue("the translation-invariant loss takes no scale factor k")
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
     n_terms = d_gt.size  # 3 * |pairs|
 

@@ -135,6 +135,38 @@ def oracle_scale_invariant(pred, gt, pairs) -> float:
     return value
 
 
+# ── oracles: pair gathers and the gradient scatter ────────────────────────
+# Reference formulations: a fancy-index gather and np.add.at scatter.  The
+# library's np.take gathers and bincount scatter must match them bit for bit,
+# -0.0 signs included.
+
+def oracle_pair_differences(xyz: XyzMap, pairs) -> np.ndarray:
+    """Fancy-index gather: coords[first] - coords[second], (N, 3)."""
+    flat = xyz.coords.reshape(-1, 3)
+    return flat[pairs.first] - flat[pairs.second]
+
+
+def oracle_scatter_pair_grad(pairs, per_pair: np.ndarray) -> np.ndarray:
+    """Two np.add.at passes onto +0.0: +row i at first_i, then -row i at second_i."""
+    h, w = pairs.shape
+    grad = np.zeros((h * w, 3), dtype=np.float64)
+    np.add.at(grad, pairs.first, per_pair)
+    np.add.at(grad, pairs.second, -per_pair)
+    return grad.reshape(h, w, 3)
+
+
+# ── oracles: formats ───────────────────────────────────────────────────────
+
+def oracle_obj_text(mesh: TriMesh) -> str:
+    """OBJ text built one f-string per vertex and per face."""
+    lines = [f"# {mesh.label}: {len(mesh.vertices)} vertices, {mesh.num_triangles} triangles"]
+    for x, y, z in mesh.vertices:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(lines) + "\n"
+
+
 # ── naive oracles: metrics ───────────────────────────────────────────────
 
 def masked_point_list(m: XyzMap, mask: SegMask) -> list:

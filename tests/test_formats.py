@@ -10,6 +10,7 @@ from vesselxyz import (
     MalformedHeader,
     SceneConfig,
     SegMask,
+    TriMesh,
     TruncatedPayload,
     XyzMap,
     assemble_scene,
@@ -25,6 +26,7 @@ from vesselxyz import (
 )
 from vesselxyz.formats import validity_path
 from vesselxyz.manifest import manifest_name
+from conftest import oracle_obj_text
 
 
 def random_depth_f32(rng, h, w, holes=0.2) -> DepthMap:
@@ -187,6 +189,20 @@ class TestObj:
         text = a.read_text()
         assert text.startswith("# opening")
         assert text.count("\nf ") == scene.opening.num_triangles
+
+    def test_matches_per_line_formatting(self, tmp_path):
+        scene = assemble_scene(3)
+        odd = TriMesh(
+            np.array([
+                [-0.0, 0.1, 1e-300], [1e5, 1.0 / 3.0, -2.5e-8], [0.0, -7.0, 123456789.125],
+            ]),
+            np.array([[0, 1, 2]]),
+            "content",
+        )
+        for mesh in (scene.vessel, scene.content, scene.opening, odd):
+            path = tmp_path / f"{mesh.label}.obj"
+            write_obj(path, mesh)
+            assert path.read_text(encoding="ascii") == oracle_obj_text(mesh)
 
 
 def _dir_hashes(d) -> dict:

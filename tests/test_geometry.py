@@ -10,6 +10,7 @@ from vesselxyz import (
     InvalidEndpoint,
     InvalidValue,
     NonPositiveDepth,
+    PairSet,
     PinholeCamera,
     SegMask,
     TriMesh,
@@ -182,6 +183,28 @@ class TestBuildPairSet:
     def test_default_dilations_clip_to_extent(self):
         assert default_dilations(16, 16) == (1, 2, 4, 8)
         assert default_dilations(256, 256) == (1, 2, 4, 8, 16, 32, 64)
+
+
+class TestPairSet:
+    @pytest.mark.parametrize("first, second", [
+        ([-1, 0], [0, 1]),  # would wrap to the last pixel
+        ([0, 1], [1, -6]),
+        ([0, 6], [1, 2]),  # one past the 2x3 grid
+        ([0, 1], [1, 2**40]),
+    ])
+    def test_out_of_range_index_rejected(self, first, second):
+        with pytest.raises(InvalidValue):
+            PairSet(first, second, (1,), (2, 3))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (-2, 3), (2, -3)])
+    def test_nonpositive_shape_rejected(self, shape):
+        with pytest.raises(InvalidValue):
+            PairSet([], [], (1,), shape)
+
+    def test_grid_corners_accepted(self):
+        pairs = PairSet([0, 4], [5, 5], (1,), (2, 3))
+        assert len(pairs) == 2 and pairs.shape == (2, 3)
+        assert len(PairSet([], [], (1,), (1, 1))) == 0
 
 
 class TestPairDifferences:

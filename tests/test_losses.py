@@ -7,10 +7,12 @@ from vesselxyz import (
     DegenerateScale,
     EmptyMask,
     EmptyPairSet,
+    InvalidValue,
     ScaleFactor,
     SegMask,
     XyzMap,
     build_pair_set,
+    loss_gradient,
     scale_factor,
     scale_invariant_loss,
     translation_consistency_loss,
@@ -86,6 +88,11 @@ class TestTranslationInvariantLoss:
         pairs = build_pair_set(full_mask(1, 2), [5])  # dilation exceeds extent
         with pytest.raises(EmptyPairSet):
             translation_invariant_loss(pred, gt, pairs)
+
+    def test_gradient_rejects_scale_factor(self):
+        pred, gt, pairs = two_pixel_fixture()
+        with pytest.raises(InvalidValue):
+            loss_gradient("translation_invariant", pred, gt, pairs, k=ScaleFactor(2.0, 8))
 
     def test_matches_naive_oracle_bitwise(self):
         rng = np.random.default_rng(3)
