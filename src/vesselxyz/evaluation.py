@@ -21,12 +21,17 @@ from pathlib import Path
 from . import __version__
 from .errors import InvalidValue, MalformedManifest, MissingPrediction, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
-from .geometry import SegMask, XyzMap, default_dilations, valid_region
+from .geometry import valid_region
 from .manifest import ROLES, SceneManifest, load_manifest
 from .metrics import evaluate_xyz, seg_eval, similarity_from_region
 from .report import SEG_COLUMNS, XYZ_COLUMNS, ReportDocument
 
-MODES = ("vessel-scale", "content-scale", "segmentation")
+COLUMNS = {"vessel-scale": XYZ_COLUMNS, "content-scale": XYZ_COLUMNS, "segmentation": SEG_COLUMNS}
+MODES = tuple(COLUMNS)
+REFERENCE = {  # per xyz mode, the role whose similarity aligns each role
+    "vessel-scale": dict.fromkeys(ROLES, "vessel"),
+    "content-scale": {role: role for role in ROLES},
+}
 
 
 def find_manifests(gt_dir) -> list:
@@ -40,87 +45,62 @@ def _manifest_seed(path: Path) -> int:
         raise MalformedManifest(f"{path}: file name does not start with an integer seed") from e
 
 
-def _gt_xyz(manifest: SceneManifest, gt_dir: Path, role: str) -> XyzMap:
-    return read_xyz_pfm(gt_dir / manifest.files[f"{role}_xyz"])
+def evaluate_scene(manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilations=None) -> list:
+    """Metric rows for one scene's vessel/content/opening predictions.
 
+    Per role the GT xyz map (xyz modes only), the GT mask and the prediction
+    are read first, so a file that exists but cannot be read raises.  A
+    role's row is absent when its prediction file is missing or scoring it
+    raises a VesselXyzError.
 
-def _gt_mask(manifest: SceneManifest, gt_dir: Path, role: str) -> SegMask:
-    return read_pgm(gt_dir / manifest.files[f"{role}_mask"])
-
-
-def _read_prediction(pred_dir: Path, manifest: SceneManifest, role: str, kind: str, read):
-    """The prediction read with ``read``, or None when its file is missing.
-
-    A file that exists but cannot be read raises, like a bad GT file.
+    In the xyz modes a role is aligned by its REFERENCE role's similarity,
+    estimated once over ``valid_region(gt mask, gt xyz, prediction)``; when
+    that prediction is missing or the estimate fails, every role it serves
+    is absent.  Dilations default to the ladder for the map size.
     """
-    path = pred_dir / manifest.files[f"{role}_{kind}"]
-    return read(path) if path.exists() else None
-
-
-def evaluate_scene_xyz(
-    manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilations=None
-) -> list:
-    """Metric rows for one scene's vessel/content/opening predictions."""
     gt_dir, pred_dir = Path(gt_dir), Path(pred_dir)
-    seed = manifest.seed
-    if dilations is None:
-        cam = manifest.camera
-        dilations = default_dilations(cam.height, cam.width)
+    xyz = mode != "segmentation"
+    gt_maps, gt_masks, preds = {}, {}, {}
+    for role in ROLES:
+        if xyz:
+            gt_maps[role] = read_xyz_pfm(gt_dir / manifest.files[f"{role}_xyz"])
+        gt_masks[role] = read_pgm(gt_dir / manifest.files[f"{role}_mask"])
+        path = pred_dir / manifest.files[f"{role}_{'xyz' if xyz else 'mask'}"]
+        preds[role] = (read_xyz_pfm if xyz else read_pgm)(path) if path.exists() else None
 
-    gt_maps, gt_masks, pred_maps = {}, {}, {}
+    def region(role: str):
+        return valid_region(gt_masks[role], gt_maps[role], preds[role])
+
+    refs = REFERENCE.get(mode, {})
+    transforms = {}  # reference role -> its similarity, when one could be estimated
+    for ref in dict.fromkeys(refs.values()):
+        if preds[ref] is not None:
+            try:
+                transforms[ref] = similarity_from_region(
+                    preds[ref], gt_maps[ref], region(ref), dilations
+                )
+            except VesselXyzError:
+                pass
+
     rows = []
     for role in ROLES:
-        gt_maps[role] = _gt_xyz(manifest, gt_dir, role)
-        gt_masks[role] = _gt_mask(manifest, gt_dir, role)
-        pred_maps[role] = _read_prediction(pred_dir, manifest, role, "xyz", read_xyz_pfm)
-
-    vessel_transform = None
-    if mode == "vessel-scale" and pred_maps["vessel"] is not None:
+        pred = preds[role]
+        transform = transforms.get(refs.get(role))
         try:
-            region = valid_region(gt_masks["vessel"], gt_maps["vessel"], pred_maps["vessel"])
-            vessel_transform = similarity_from_region(
-                pred_maps["vessel"], gt_maps["vessel"], region, dilations
-            )
-        except VesselXyzError:
-            vessel_transform = None
-
-    for role in ROLES:
-        pred = pred_maps[role]
-        if pred is None or (mode == "vessel-scale" and vessel_transform is None):
-            rows.append({"seed": seed, "object": role, "missing": True})
-            continue
-        try:
-            mask = valid_region(gt_masks[role], gt_maps[role], pred)
-            if mode == "vessel-scale":
-                transform = vessel_transform
+            if pred is None or (xyz and transform is None):
+                report = None
+            elif xyz:
+                mask = region(role)
+                report = evaluate_xyz(transform.apply(pred, mask), gt_maps[role], mask)
             else:
-                transform = similarity_from_region(pred, gt_maps[role], mask, dilations)
-            aligned = transform.apply(pred, mask)
-            report = evaluate_xyz(aligned, gt_maps[role], mask)
+                report = seg_eval(pred, gt_masks[role])
         except VesselXyzError:
-            rows.append({"seed": seed, "object": role, "missing": True})
-            continue
-        row = {"seed": seed, "object": role}
-        row.update({col: getattr(report, col) for col in XYZ_COLUMNS})
-        rows.append(row)
-    return rows
-
-
-def evaluate_scene_seg(manifest: SceneManifest, gt_dir, pred_dir) -> list:
-    gt_dir, pred_dir = Path(gt_dir), Path(pred_dir)
-    rows = []
-    for role in ROLES:
-        gt_mask = _gt_mask(manifest, gt_dir, role)
-        pred_mask = _read_prediction(pred_dir, manifest, role, "mask", read_pgm)
-        try:
-            report = None if pred_mask is None else seg_eval(pred_mask, gt_mask)
-        except VesselXyzError:  # readable, but cannot be scored against the GT
             report = None
         row = {"seed": manifest.seed, "object": role}
         if report is None:
             row["missing"] = True
         else:
-            row.update({col: getattr(report, col) for col in SEG_COLUMNS})
+            row.update({col: getattr(report, col) for col in COLUMNS[mode]})
         rows.append(row)
     return rows
 
@@ -134,10 +114,5 @@ def run_eval(gt_dir, pred_dir, mode: str, dilations=None) -> ReportDocument:
         raise MissingPrediction(f"no *_manifest.json files under {gt_dir}")
     rows = []
     for path in manifest_paths:
-        manifest = load_manifest(path)
-        if mode == "segmentation":
-            rows.extend(evaluate_scene_seg(manifest, Path(gt_dir), pred_dir))
-        else:
-            rows.extend(evaluate_scene_xyz(manifest, Path(gt_dir), pred_dir, mode, dilations))
-    columns = SEG_COLUMNS if mode == "segmentation" else XYZ_COLUMNS
-    return ReportDocument.build(mode, columns, rows, __version__)
+        rows.extend(evaluate_scene(load_manifest(path), gt_dir, pred_dir, mode, dilations))
+    return ReportDocument.build(mode, COLUMNS[mode], rows, __version__)

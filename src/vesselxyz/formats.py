@@ -113,7 +113,8 @@ def _read_pfm_raw(path):
             raise MalformedHeader(f"{path}: zero scale")
         payload = _read_payload(f, path, width, height, channels * 4)
     dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN casts to a quiet one
+        data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     shape = (height, width) if channels == 1 else (height, width, channels)
     return np.flipud(data.reshape(shape)).copy(), channels
 

@@ -198,17 +198,18 @@ class PairSet:
     shape: tuple  # (H, W) of the originating mask
 
     def __post_init__(self):
-        a = np.asarray(self.first, dtype=np.int64)
-        b = np.asarray(self.second, dtype=np.int64)
+        a, b = np.asarray(self.first), np.asarray(self.second)
         if a.shape != b.shape or a.ndim != 1:
             raise DimensionMismatch("pair index arrays must be equal-length 1-D")
         h, w = int(self.shape[0]), int(self.shape[1])
         if h <= 0 or w <= 0:
             raise InvalidValue(f"pair set shape must be positive, got {(h, w)}")
+        if a.size and not (a.dtype.kind in "iu" and b.dtype.kind in "iu"):
+            raise InvalidValue(f"pair indices must be integers, got {a.dtype} and {b.dtype}")
         if a.size and not (min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < h * w):
             raise InvalidValue(f"pair indices must lie in [0, {h * w}) for shape {(h, w)}")
-        object.__setattr__(self, "first", _frozen(a))
-        object.__setattr__(self, "second", _frozen(b))
+        object.__setattr__(self, "first", _frozen(a.astype(np.int64, copy=False)))
+        object.__setattr__(self, "second", _frozen(b.astype(np.int64, copy=False)))
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
         object.__setattr__(self, "shape", (h, w))
 

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
 from .geometry import MaterialVector, PinholeCamera, SegMask
-from .procgen import SceneConfig, SceneRecord, VesselProfile, assemble_scene
-from .renderer import RenderOutput, render_scene
+from .procgen import SceneConfig, VesselProfile, assemble_scene
+from .renderer import render_scene
 
 FORMAT_VERSION = 1
 ROLES = ("vessel", "content", "opening")
@@ -160,28 +160,12 @@ def load_manifest(path) -> SceneManifest:
         raise MalformedManifest(f"{path}: {e}") from e
 
 
-def emit_scene(
-    seed: int,
-    config: SceneConfig,
-    out_dir,
-    write_meshes: bool = True,
-) -> SceneManifest:
+def emit_scene(seed: int, config: SceneConfig, out_dir, write_meshes: bool = True) -> SceneManifest:
     """Assemble, render, and write one scene's artifacts plus its manifest."""
     scene = assemble_scene(seed, config)
     output = render_scene(scene)
-    return write_scene_artifacts(scene, output, config, out_dir, write_meshes)
-
-
-def write_scene_artifacts(
-    scene: SceneRecord,
-    output: RenderOutput,
-    config: SceneConfig,
-    out_dir,
-    write_meshes: bool = True,
-) -> SceneManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = scene.seed
     files = {}
 
     depths = {
@@ -235,6 +219,6 @@ def write_scene_artifacts(
     return manifest
 
 
-def replay_manifest(manifest: SceneManifest, out_dir, write_meshes: bool = True) -> SceneManifest:
+def replay_manifest(manifest: SceneManifest, out_dir) -> SceneManifest:
     """Regenerate a manifest's scene from its seed and config echo."""
-    return emit_scene(manifest.seed, manifest.config, out_dir, write_meshes)
+    return emit_scene(manifest.seed, manifest.config, out_dir)

@@ -48,7 +48,6 @@ class ReportDocument:
     rows: list
     aggregates: dict
     tool_version: str
-    notes: str = NOTES
 
     @classmethod
     def build(cls, mode: str, columns, rows: list, tool_version: str) -> "ReportDocument":
@@ -109,7 +108,7 @@ class ReportDocument:
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         lines = [
             f"# mode: {self.mode} | tool: vesselxyz {self.tool_version}",
-            f"# {self.notes}",
+            f"# {NOTES}",
         ]
         for row in table:
             lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vesselxyz
-from vesselxyz import read_depth_pfm, read_xyz_pfm, write_pfm
+from vesselxyz import read_depth_pfm, read_xyz_pfm, write_pfm, write_pgm
 from vesselxyz.cli import (
     EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _UsageError, main, parse_seeds,
 )
@@ -39,6 +39,23 @@ def _small_xyz(size: int) -> vesselxyz.XyzMap:
     coords = np.zeros((size, size, 3))
     coords[..., 2] = 1.0
     return vesselxyz.XyzMap(coords, np.ones((size, size), bool))
+
+
+# Seed 2's absent objects per damaged prediction and eval mode.  Vessel-scale
+# aligns every object by the vessel's similarity, so an unscorable vessel
+# blocks all three rows there; content-scale aligns each object by itself.
+_MODES = ("vessel-scale", "content-scale", "segmentation")
+_ALL = {"vessel", "content", "opening"}
+_VESSEL = {"vessel-scale": _ALL, "content-scale": {"vessel"}, "segmentation": {"vessel"}}
+ABSENT_ROWS = {
+    "missing-vessel": _VESSEL,
+    "missing-content": dict.fromkeys(_MODES, {"content"}),
+    "missing-opening": dict.fromkeys(_MODES, {"opening"}),
+    "wrong-size-vessel": _VESSEL,
+    # constant XYZ maps leave the masks intact, so segmentation scores them
+    "constant-vessel": {**_VESSEL, "segmentation": set()},
+    "constant-content": {**dict.fromkeys(_MODES, set()), "content-scale": {"content"}},
+}
 
 
 class TestParseSeeds:
@@ -409,6 +426,32 @@ class TestEval:
         rows = [r.split(",") for r in (tmp_path / "report" / "report.csv").read_text().splitlines()]
         missing = {(r[0], r[1]) for r in rows[1:] if r[2] == "true"}
         assert missing == {("1", "vessel")}
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("cause", list(ABSENT_ROWS))
+    def test_absent_rows_per_cause_and_mode(self, gt_batch, tmp_path, cause, mode):
+        # every prediction is the GT copy except seed 2's damaged ones
+        pred = tmp_path / "pred"
+        shutil.copytree(gt_batch, pred)
+        role = cause.split("-")[-1]
+        stems = [f"2_{role}_xyz.pfm", f"2_{role}_xyz.valid.pgm", f"2_{role}_mask.pgm"]
+        if cause.startswith("missing"):
+            for stem in stems:
+                (pred / stem).unlink()
+        elif cause.startswith("wrong-size"):
+            write_pfm(pred / stems[0], _small_xyz(32))
+            write_pgm(pred / stems[2], vesselxyz.SegMask(np.ones((32, 32), bool)))
+        else:  # a constant XYZ map has no scale, so its similarity raises DegenerateScale
+            gt = read_xyz_pfm(gt_batch / stems[0])
+            write_pfm(pred / stems[0], vesselxyz.XyzMap(np.full_like(gt.coords, 0.5), gt.valid))
+        out = tmp_path / "report"
+        code = main(
+            ["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", mode, "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in (out / "report.csv").read_text().splitlines()[1:]]
+        absent = {(r[0], r[1]) for r in rows if r[2] == "true"}
+        assert absent == {("2", role) for role in ABSENT_ROWS[cause][mode]}
 
 
 class TestLoss:

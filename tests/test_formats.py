@@ -1,6 +1,8 @@
 """PFM/PGM round trips, malformed inputs, OBJ output, manifests."""
 
 import hashlib
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +130,16 @@ class TestPfm:
         validity_path(path).unlink()
         back = read_depth_pfm(path)  # -inf sentinel recovers the mask
         assert np.array_equal(back.valid, d.valid)
+
+    def test_signaling_nan_reads_invalid_without_warning(self, tmp_path):
+        # 0x7f800001 is a signaling NaN; casting it to float64 raises numpy's
+        # "invalid value" flag, which must not surface as a warning
+        path = tmp_path / "snan.pfm"
+        path.write_bytes(b"PF\n1 1\n-1.0\n" + struct.pack("<Iff", 0x7F800001, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xyz = read_xyz_pfm(path)
+        assert not xyz.valid.any()
 
 
 class TestPgm:

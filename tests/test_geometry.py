@@ -201,10 +201,29 @@ class TestPairSet:
         with pytest.raises(InvalidValue):
             PairSet([], [], (1,), shape)
 
+    @pytest.mark.parametrize("first, second", [
+        ([0.5, 1.7], [1, 2]),  # would truncate to [0, 1]
+        ([0, 1], [1.0, 2.0]),
+        ([True, False], [1, 2]),
+        ([0, 1], [1, object()]),
+        ([0, 1], [1, 2**63]),  # does not fit in int64
+        ([0, 1], [1, 2**64]),
+    ])
+    def test_non_integer_index_rejected(self, first, second):
+        with pytest.raises(InvalidValue):
+            PairSet(first, second, (1,), (2, 3))
+
     def test_grid_corners_accepted(self):
         pairs = PairSet([0, 4], [5, 5], (1,), (2, 3))
         assert len(pairs) == 2 and pairs.shape == (2, 3)
         assert len(PairSet([], [], (1,), (1, 1))) == 0
+
+    def test_int64_indices_kept_without_copy(self):
+        first, second = np.array([0, 4]), np.array([5, 5])
+        pairs = PairSet(first, second, (1,), (2, 3))
+        assert np.shares_memory(pairs.first, first) and np.shares_memory(pairs.second, second)
+        pairs = PairSet(np.array([0, 4], np.int32), np.array([5, 5], np.uint8), (1,), (2, 3))
+        assert pairs.first.dtype == pairs.second.dtype == np.int64
 
 
 class TestPairDifferences:
