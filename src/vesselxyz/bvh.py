@@ -1,9 +1,24 @@
-"""Axis-aligned BVH over triangles with batched ray casting.
+"""Ray/triangle intersection: a binned camera-ray cast, and a BVH.
 
-The build is a level-synchronous median split.  Per depth, node boxes and
-centroid extents come from ``np.minimum/maximum.reduceat``, each node takes
-its widest centroid axis by ``argmax``, and one stable ``np.lexsort((key,
-node))`` sorts every node's triangles along its axis: the stable per-node
+``cast_camera_rays`` is the renderer's cast.  Every camera ray runs from
+the camera center through a pixel center, so a triangle with every corner
+at camera-frame ``z > CAST_Z_EPS`` can be hit only through pixel centers in
+the box of its projected corners, widened by ``CAST_MARGIN_PX`` (1e-3 px)
+against rounding.  The kernel's own error is ~``eps * f`` px unless its
+determinant is pure rounding, which happens only for rays in the triangle's
+plane; so a triangle whose plane passes within a relative ``CAST_PLANE_TOL``
+of the camera center gets every pixel, as does one reaching ``z <=
+CAST_Z_EPS``, whose image is unbounded.  The candidates hold every pair the
+kernel reports as a hit, and run ``CAST_BLOCK`` at a time through the same
+kernel on the same inputs as a brute-force scan, resolved by the same
+smallest (t, triangle index): (t, tri, u, v) keep their bits.
+
+``intersect_rays`` over a ``build_bvh`` tree is now only the API for
+arbitrary rays; rendering does not use it.  The build is a
+level-synchronous median split.  Per depth, node boxes and centroid extents
+come from ``np.minimum/maximum.reduceat``, each node takes its widest
+centroid axis by ``argmax``, and one stable ``np.lexsort((key, node))``
+sorts every node's triangles along its axis: the stable per-node
 sort of a recursive build, so triangle order, leaves and node count are a
 recursive build's.  Nodes are numbered breadth first; the children of the
 internal nodes are nodes 1, 2, ... in pairs.
@@ -28,13 +43,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm
 
 from .errors import EmptyScene, InvalidValue
-from .geometry import TriMesh, _frozen
+from .geometry import PinholeCamera, TriMesh, _frozen
 
 LEAF_SIZE = 8
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
 RAY_BLOCK = 8192  # rays per traversal wavefront
+CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be boxed
+CAST_MARGIN_PX = 1e-3  # widens each projected box against rounding
+CAST_PLANE_TOL = 1e-10  # relative plane distance below which rays in the plane hit anywhere
+CAST_BLOCK = 65536  # (pixel, triangle) pairs per kernel call of the camera cast
 
 
 @dataclass(frozen=True)
@@ -141,6 +161,73 @@ def _moller_trumbore(o, d, v0, e1, e2):
     return cand[ok], t[ok], u[ok], v[ok]
 
 
+def _keep_nearest(best, r, tri, t, u, v) -> None:
+    """Fold hits into ``best`` in place, keeping the smallest (t, triangle id) per ray.
+
+    Scatter-min t, then the id over the hits at that t (a nearer t drops the
+    old id), then u and v of the one hit that won; hit order does not matter.
+    """
+    best_t, best_tri, best_u, best_v = best
+    prev = best_t[r]
+    np.minimum.at(best_t, r, t)
+    now = best_t[r]
+    best_tri[r[now < prev]] = np.iinfo(np.int64).max
+    at_best = t == now
+    np.minimum.at(best_tri, r[at_best], tri[at_best])
+    won = at_best & (tri == best_tri[r])
+    best_u[r[won]], best_v[r[won]] = u[won], v[won]
+
+
+def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
+    """Nearest hit of every pixel-center ray of ``camera`` on ``mesh``.
+
+    ``dirs`` are the rays' unit world directions, row-major, as
+    ``renderer.camera_rays`` makes them.  Returns (t, tri, u, v) with the
+    bits :func:`intersect_rays` gives for those rays.
+    """
+    if mesh.is_empty:
+        raise EmptyScene("cannot intersect an empty mesh")
+    w, h = camera.width, camera.height
+    verts, tris = mesh.vertices, mesh.triangles
+    p = camera.world_to_camera(verts)[tris]  # (triangle, corner, axis)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uv = p[..., :2] / p[..., 2:] * (camera.fx, camera.fy) + (camera.cx, camera.cy)
+    # Boxed: every corner in front, and the plane clear of the camera center.
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    plane = np.abs(np.einsum("ij,ij->i", np.cross(e1, e2), p[:, 0]))
+    scale = norm(e1, axis=1) * norm(e2, axis=1) * norm(p, axis=2).max(axis=1)
+    boxed = ((p[:, :, 2].min(axis=1) > CAST_Z_EPS) & (plane > CAST_PLANE_TOL * scale))[:, None]
+    # Inclusive candidate pixel box (u, v) per triangle; every pixel if not boxed.
+    size = np.array([w, h])
+    lo = np.where(boxed, np.ceil(uv.min(axis=1) - CAST_MARGIN_PX), 0).clip(0, size)
+    hi = np.where(boxed, np.floor(uv.max(axis=1) + CAST_MARGIN_PX), size - 1).clip(-1, size - 1)
+    extent = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    count = extent.prod(axis=1)
+    ids = np.flatnonzero(count)
+    (col0, row0), ncols, count = lo[ids].astype(np.int64).T, extent[ids, 0], count[ids]
+    end = np.cumsum(count)
+    start = end - count
+
+    a, b, c = (verts[tris[ids, i]].T.copy() for i in range(3))
+    tri_data = (a, b - a, c - a)
+    d = np.asarray(dirs, dtype=np.float64).T.copy()
+    o = tuple(camera.center)  # the one origin, as scalars
+    n = w * h
+    best = (np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.zeros(n))
+    total = int(count.sum())
+    # Fixed blocks of (pixel, triangle) pairs bound the transient memory.
+    for first in range(0, total, CAST_BLOCK):
+        k = np.arange(first, min(first + CAST_BLOCK, total), dtype=np.int64)
+        j = np.searchsorted(end, k, side="right")
+        row, col = np.divmod(k - start[j], ncols[j])
+        pix = (row0[j] + row) * w + col0[j] + col
+        hit, t, u, v = _moller_trumbore(
+            o, [x[pix] for x in d], *([x[j] for x in vec] for vec in tri_data)
+        )
+        _keep_nearest(best, pix[hit], ids[j[hit]], t, u, v)
+    return best
+
+
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """[s0, s0+1, ..., s0+c0-1, s1, ...] without a Python loop."""
     total = int(counts.sum())
@@ -184,7 +271,6 @@ def intersect_rays(bvh: Bvh, origins: np.ndarray, dirs: np.ndarray):
 def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
     """Breadth-first wavefront of ``rays`` from the root; updates ``best`` in place."""
     o, d, inv_d, par = ray_data
-    best_t, best_tri, best_u, best_v = best
     nodes = np.zeros(len(rays), dtype=np.int64)
     while rays.size:
         for k in range(3):
@@ -203,7 +289,7 @@ def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
             tnear = near if k == 0 else np.maximum(tnear, near)
             tfar = far if k == 0 else np.minimum(tfar, far)
         tnear = np.maximum(tnear, 0.0)
-        keep = (tfar >= tnear) & (tnear <= best_t[rays])
+        keep = (tfar >= tnear) & (tnear <= best[0][rays])
         rays, nodes = rays[keep], nodes[keep]
         counts = bvh.count[nodes]
         is_leaf = counts > 0
@@ -214,18 +300,7 @@ def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
                 [x[pair_rays] for x in o], [x[pair_rays] for x in d],
                 *([x[pos] for x in vec] for vec in tris),
             )
-            # Smallest (t, triangle id) per ray: scatter-min t, then the id
-            # over the pairs at that t (a nearer t drops the old id), then
-            # u and v of the one pair that won.
-            r, tri = pair_rays[hit], bvh.tri_order[pos[hit]]
-            prev = best_t[r]
-            np.minimum.at(best_t, r, t)
-            now = best_t[r]
-            best_tri[r[now < prev]] = bvh.num_triangles
-            at_best = t == now
-            np.minimum.at(best_tri, r[at_best], tri[at_best])
-            won = at_best & (tri == best_tri[r])
-            best_u[r[won]], best_v[r[won]] = u[won], v[won]
+            _keep_nearest(best, pair_rays[hit], bvh.tri_order[pos[hit]], t, u, v)
         inner = nodes[~is_leaf]
         rays = np.concatenate([rays[~is_leaf]] * 2)
         nodes = np.concatenate([bvh.left[inner], bvh.right[inner]])

@@ -11,8 +11,10 @@ Conventions used throughout the package:
   that frame.
 * Invalid pixels store a quiet-NaN sentinel that no operation reads.
 
-All types are immutable after construction (arrays are frozen read-only)
-and all operations are pure functions.
+All types are immutable after construction and all operations are pure
+functions.  Their arrays are read-only views; an argument that already has
+the right dtype and layout is viewed, not copied, so the caller's own array
+stays writeable and writing to it later changes the object too.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ IOR_PHYSICAL_RANGE = (1.0, 2.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
+    """Read-only contiguous view of ``a``; ``a`` itself keeps its flags."""
+    out = np.ascontiguousarray(a).view()
     out.flags.writeable = False
     return out
 

@@ -6,6 +6,12 @@ come from depth differencing: a pixel belongs to an object if removing that
 object from the scene changes the first-hit depth by more than a small
 epsilon or flips hit/miss.  Content maps are rendered with the vessel
 removed, exposing the interior.
+
+Each mesh is cast once by ``bvh.cast_camera_rays``: a triangle is tested
+only against pixel centers inside its projected-corner box widened by 1e-3
+px, or against every pixel if a corner has camera-frame ``z <= 1e-9`` or its
+plane passes through the camera center.  The boxes hold every pixel the
+brute-force kernel would hit, so depths and masks keep their bits.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import build_bvh, intersect_rays
+# build_bvh and intersect_rays are unused here: perfbench/spans.py hooks them by these names.
+from .bvh import build_bvh, cast_camera_rays, intersect_rays  # noqa: F401
 from .errors import EmptyMask, EmptyScene
 from .geometry import (
     DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap, depth_to_xyz, valid_region,
@@ -71,12 +78,12 @@ class _SceneHits:
         self.meshes = [m for m in meshes if not m.is_empty]
         if not self.meshes:
             raise EmptyScene("no triangles to render")
-        origins, dirs, axial = camera_rays(camera)
+        _, dirs, axial = camera_rays(camera)
         self.axial = axial
         self.camera = camera
         self.hits = []
         for mesh in self.meshes:
-            t, tri, _, _ = intersect_rays(build_bvh(mesh), origins, dirs)
+            t, tri, _, _ = cast_camera_rays(mesh, camera, dirs)
             self.hits.append((mesh.label, t, tri))
         self.label_index = {label: mi for mi, (label, _, _) in enumerate(self.hits)}
 

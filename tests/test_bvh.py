@@ -1,9 +1,11 @@
-"""BVH build and traversal against naive oracles.
+"""BVH build and traversal, and the binned camera cast, against naive oracles.
 
 The ray/triangle kernel is checked bit for bit against the ``np.cross`` /
 ``einsum`` formulation in ``conftest``; ``intersect_rays_brute`` shares the
 kernel, so BVH == brute force alone could not catch a changed summation
 order.  The tree is checked for structure and against a recursive build.
+The camera cast is checked against brute force over random pinhole cameras
+and meshes built to hit the edge cases of its candidate-box rule.
 """
 
 import numpy as np
@@ -11,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vesselxyz import TriMesh, build_bvh, intersect_rays, intersect_rays_brute
-from vesselxyz.bvh import LEAF_SIZE, T_MIN, _moller_trumbore
+from vesselxyz import PinholeCamera, TriMesh, build_bvh, intersect_rays, intersect_rays_brute
+from vesselxyz.bvh import CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, cast_camera_rays
 from vesselxyz.procgen import SceneConfig, assemble_scene
+from vesselxyz.renderer import camera_rays
 
-from conftest import icosphere, oracle_bvh_leaves, oracle_moller_trumbore
+from conftest import icosphere, oracle_bvh_leaves, oracle_moller_trumbore, random_rotation
 
 X, Y, Z = np.eye(3)
 
@@ -198,3 +201,141 @@ def test_bvh_equals_brute_force_on_random_meshes(seed, n_tris):
     slow = intersect_rays_brute(mesh, origins, dirs)
     for got, want in zip(fast, slow):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ── binned camera cast ───────────────────────────────────────────────────
+
+CAST_KINDS = ("pixel", "random", "tiny", "behind", "straddle", "grazing", "along_ray", "strip")
+
+
+def _cast_camera(rng) -> PinholeCamera:
+    """Random pinhole camera of up to 24x24 pixels.
+
+    Half the cameras have dyadic focal lengths, half-pixel principal points,
+    a quarter-meter center and no rotation, so points built on pixel-center
+    rays below lie exactly on them; the others are arbitrary.
+    """
+    w, h = (int(x) for x in rng.integers(1, 25, 2))
+    if rng.random() < 0.5:
+        fx, fy = (float(2.0 ** k) for k in rng.integers(-1, 9, 2))
+        cx, cy = float(rng.integers(0, 2 * w) / 2), float(rng.integers(0, 2 * h) / 2)
+        rotation, center = np.eye(3), rng.integers(-8, 9, 3) / 4.0
+    else:
+        fx, fy = (float(x) for x in 10.0 ** rng.uniform(-0.3, 2.7, 2))
+        cx, cy = float(rng.uniform(0, w)), float(rng.uniform(0, h))
+        rotation, center = random_rotation(rng), rng.uniform(-3.0, 3.0, 3)
+    return PinholeCamera(fx, fy, cx, cy, w, h, rotation, -rotation @ center)
+
+
+def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
+    """Mesh of ``n_tris`` triangles of the given kinds, built in the camera frame.
+
+    pixel: corners on pixel-center rays (edges through pixel centers);
+    random: anywhere, mostly off screen; tiny: within about one pixel;
+    behind: every corner at z < 0; straddle: corners at z = 0, +-eps, ...;
+    grazing: planes through, or within 1e-15..1e-6 of, the camera center;
+    along_ray: an edge on a pixel-center ray; strip: a grid of corners on
+    pixel-center rays, two triangles per cell sharing edges.  Returns None
+    when every triangle came out degenerate.
+    """
+    w, h = cam.width, cam.height
+
+    def at(u, v, z):  # camera-frame points at depth z on the rays through (u, v)
+        return np.stack([z * (u - cam.cx) / cam.fx, z * (v - cam.cy) / cam.fy, z], -1)
+
+    def depth(n):
+        return np.where(rng.random(n) < 0.5, 2.0 ** rng.integers(-2, 3, n), rng.uniform(0.1, 10, n))
+
+    corners = []
+    for kind in rng.choice(kinds, n_tris):
+        if kind == "pixel":
+            c = at(rng.integers(-2, w + 2, 3), rng.integers(-2, h + 2, 3), depth(3))
+        elif kind == "random":
+            c = at(rng.uniform(-w, 2 * w, 3), rng.uniform(-h, 2 * h, 3), depth(3))
+        elif kind == "tiny":
+            size = 10.0 ** rng.uniform(-3, 0)
+            u = rng.integers(0, w) + rng.uniform(-0.5, 0.5) + size * rng.uniform(-1, 1, 3)
+            v = rng.integers(0, h) + rng.uniform(-0.5, 0.5) + size * rng.uniform(-1, 1, 3)
+            c = at(u, v, depth(1) * (1.0 + 0.01 * rng.uniform(-1, 1, 3)))
+        elif kind == "behind":
+            c = at(rng.uniform(-w, 2 * w, 3), rng.uniform(-h, 2 * h, 3), -depth(3))
+        elif kind == "straddle":
+            eps = CAST_Z_EPS
+            z = rng.choice([-1.0, -eps, 0.0, eps / 2, eps, 2 * eps, 1e-6, 1.0, 3.0], 3)
+            c = np.column_stack([rng.uniform(-1, 1, (3, 2)), z])
+        elif kind == "grazing":
+            p = at(rng.uniform(-2, w + 1, 2), rng.uniform(-2, h + 1, 2), depth(2))
+            n = np.cross(p[0], p[1])
+            off = rng.choice([0.0, 1e-15, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6])
+            q = rng.uniform(0.2, 1.5) * p[0] + rng.uniform(-0.8, 1.5) * p[1]
+            c = np.vstack([p, q + off * n / np.linalg.norm(n)])
+        elif kind == "along_ray":
+            u, v = rng.integers(0, w), rng.integers(0, h)
+            other = at(rng.integers(-2, w + 2), rng.integers(-2, h + 2), depth(1))
+            c = np.vstack([at(u, v, depth(2)), other])
+        else:
+            continue
+        corners.append(c)
+    verts = np.array(corners).reshape(-1, 3)
+    faces = np.arange(len(verts)).reshape(-1, 3)
+    if "strip" in kinds:
+        gw, gh = (int(x) for x in rng.integers(2, 6, 2))
+        step = rng.integers(1, 3, 2)
+        uu, vv = np.meshgrid(rng.integers(-1, w) + np.arange(gw) * step[0],
+                             rng.integers(-1, h) + np.arange(gh) * step[1])
+        grid = at(uu.ravel(), vv.ravel(), depth(1) + 0.05 * uu.ravel() + 0.1 * (vv.ravel() % 2))
+        i = np.arange(gw * gh).reshape(gh, gw)
+        a, b, c, d = i[:-1, :-1].ravel(), i[:-1, 1:].ravel(), i[1:, :-1].ravel(), i[1:, 1:].ravel()
+        strip = np.concatenate([np.column_stack([a, b, d]), np.column_stack([a, d, c])])
+        faces = np.concatenate([faces, strip + len(verts)])
+        verts = np.concatenate([verts, grid])
+    world = (verts - cam.translation) @ cam.rotation
+    e = world[faces]
+    area = 0.5 * np.linalg.norm(np.cross(e[:, 1] - e[:, 0], e[:, 2] - e[:, 0]), axis=1)
+    faces = faces[area > 1e-9]
+    return TriMesh(world, faces, "content") if len(faces) else None
+
+
+def _assert_cast_equals_brute(mesh: TriMesh, cam: PinholeCamera):
+    origins, dirs, _ = camera_rays(cam)
+    got = cast_camera_rays(mesh, cam, dirs)
+    want = intersect_rays_brute(mesh, origins, dirs)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(CAST_KINDS), min_size=1, max_size=4, unique=True),
+    n_tris=st.integers(1, 30),
+)
+def test_cast_equals_brute_force_on_random_cameras(seed, kinds, n_tris):
+    rng = np.random.default_rng(seed)
+    cam = _cast_camera(rng)
+    mesh = _cast_mesh(rng, cam, kinds, n_tris)
+    if mesh is not None:
+        _assert_cast_equals_brute(mesh, cam)
+
+
+def test_cast_covers_hits_of_planes_through_the_camera_center():
+    # A ray lying in a triangle's plane makes the kernel's determinant pure
+    # rounding, so it can report a hit at any pixel on the plane's image
+    # line, far outside the triangle's projected box.  Such triangles must
+    # get every pixel; this checks such hits occur and are reproduced.
+    outside = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        cam = _cast_camera(rng)
+        mesh = _cast_mesh(rng, cam, ["along_ray"], 8)
+        if mesh is None:
+            continue
+        _, tri, _, _ = _assert_cast_equals_brute(mesh, cam)
+        p = cam.world_to_camera(mesh.vertices)
+        pu = (cam.fx * p[:, 0] / p[:, 2] + cam.cx)[mesh.triangles]
+        hit = np.flatnonzero(tri >= 0)
+        u = (hit % cam.width)[:, None]
+        box = pu[tri[hit]]
+        outside += int(np.sum((u < box.min(axis=1) - 0.5) | (u > box.max(axis=1) + 0.5)))
+    assert outside > 0

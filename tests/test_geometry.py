@@ -226,6 +226,24 @@ class TestPairSet:
         assert pairs.first.dtype == pairs.second.dtype == np.int64
 
 
+def test_callers_arrays_stay_writeable():
+    # Arrays are frozen as read-only views: the caller's arrays keep their
+    # flags, while the object's own arrays cannot be written through.
+    first, second, mask = np.array([0, 4]), np.array([5, 5]), np.ones((2, 3), bool)
+    coords, depth, valid = np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 3), bool)
+    made = [
+        PairSet(first, second, (1,), (2, 3)).first, SegMask(mask).values,
+        XyzMap(coords, valid).valid, DepthMap(depth, valid).valid,
+    ]
+    for a in (first, second, mask, coords, depth, valid):
+        assert a.flags.writeable
+    assert np.shares_memory(made[0], first) and np.shares_memory(made[1], mask)
+    for a in made:
+        assert not a.flags.writeable
+    first[0] = 1
+    assert made[0][0] == 1  # a view, not a copy
+
+
 class TestPairDifferences:
     def test_constant_map_zero_differences(self):
         m = XyzMap(np.full((2, 3, 3), 1.5), np.ones((2, 3), bool))

@@ -221,3 +221,31 @@ class TestCleanDepth:
         cam = down_camera()
         with pytest.raises(EmptyMask):
             clean_depth(self._flat_depth(32), cam, SegMask(np.zeros((32, 32), bool)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_render_scene_matches_brute_force_cast(monkeypatch, seed):
+    # Every map of a 48x48 render keeps its bits when each mesh is cast by
+    # testing every triangle against every pixel ray instead.
+    from vesselxyz import SceneConfig, renderer
+
+    config = SceneConfig(resolution=48, focal_px=SceneConfig().focal_px * 48 / 256)
+    scene = assemble_scene(seed, config)
+    fast = render_scene(scene)
+
+    cast = []
+
+    def brute_cast(mesh, camera, dirs):
+        cast.append(mesh.label)
+        return intersect_rays_brute(mesh, np.broadcast_to(camera.center, dirs.shape), dirs)
+
+    monkeypatch.setattr(renderer, "cast_camera_rays", brute_cast)
+    slow = render_scene(scene)
+    assert sorted(cast) == ["content", "ground", "opening", "vessel"]
+    for name in fast.__dataclass_fields__:
+        for attr in ("values", "valid", "coords"):
+            got, want = getattr(getattr(fast, name), attr, None), getattr(getattr(slow, name), attr, None)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, attr)
+    assert fast.vessel_mask.count > 0 and fast.content_mask.count > 0
