@@ -22,6 +22,7 @@ from .errors import MalformedHeader, TruncatedPayload
 from .geometry import DepthMap, SegMask, TriMesh, XyzMap
 
 _PFM_SCALE = -1.0  # little-endian
+_MAX_TOKEN_BYTES = 64  # longer than any magic, size or scale this format writes
 
 
 def validity_path(path) -> Path:
@@ -37,13 +38,13 @@ def write_pgm(path, mask: SegMask) -> None:
 
 def read_pgm(path) -> SegMask:
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        magic = _read_token(f, path)
         if magic != b"P5":
             raise MalformedHeader(f"{path}: expected binary PGM magic 'P5', got {magic!r}")
         try:
-            width = int(_read_token(f))
-            height = int(_read_token(f))
-            maxval = int(_read_token(f))
+            width = int(_read_token(f, path))
+            height = int(_read_token(f, path))
+            maxval = int(_read_token(f, path))
         except ValueError as e:
             raise MalformedHeader(f"{path}: non-numeric PGM header field") from e
         if maxval != 255:
@@ -53,17 +54,19 @@ def read_pgm(path) -> SegMask:
     return SegMask(values >= 128)
 
 
-def _read_token(f) -> bytes:
+def _read_token(f, path) -> bytes:
     """One whitespace-delimited header token; consumes the delimiter after it."""
     token = b""
     while True:
         c = f.read(1)
         if not c:
-            raise MalformedHeader("unexpected end of file in header")
+            raise MalformedHeader(f"{path}: unexpected end of file in header")
         if c.isspace():
             if token:
                 return token
             continue
+        if len(token) == _MAX_TOKEN_BYTES:
+            raise MalformedHeader(f"{path}: header token longer than {_MAX_TOKEN_BYTES} bytes")
         token += c
 
 
@@ -96,7 +99,7 @@ def write_pfm(path, m) -> None:
 
 def _read_pfm_raw(path):
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        magic = _read_token(f, path)
         if magic == b"PF":
             channels = 3
         elif magic == b"Pf":
@@ -104,9 +107,9 @@ def _read_pfm_raw(path):
         else:
             raise MalformedHeader(f"{path}: not a PFM file (magic {magic!r})")
         try:
-            width = int(_read_token(f))
-            height = int(_read_token(f))
-            scale = float(_read_token(f))
+            width = int(_read_token(f, path))
+            height = int(_read_token(f, path))
+            scale = float(_read_token(f, path))
         except ValueError as e:
             raise MalformedHeader(f"{path}: non-numeric PFM header field") from e
         if scale == 0.0:

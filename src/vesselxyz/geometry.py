@@ -244,8 +244,10 @@ class TriMesh:
             raise InvalidValue("mesh vertices must be finite")
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "triangles", _frozen(t))
-        if np.any(self.triangle_areas() <= MIN_TRIANGLE_AREA):
-            raise InvalidValue("mesh contains degenerate triangles")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN here
+            areas = self.triangle_areas()
+        if not np.all((areas > MIN_TRIANGLE_AREA) & (areas < np.inf)):
+            raise InvalidValue("mesh contains degenerate triangles or areas that overflow")
 
     @property
     def num_triangles(self) -> int:

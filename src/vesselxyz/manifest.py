@@ -14,14 +14,14 @@ manifest itself is ``<seed>_manifest.json``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
-from .geometry import MaterialVector, PinholeCamera, SegMask
+from .geometry import MaterialVector, PinholeCamera
 from .procgen import SceneConfig, VesselProfile, assemble_scene
 from .renderer import render_scene
 
@@ -39,16 +39,8 @@ def manifest_name(seed: int) -> str:
 
 
 def _camera_to_dict(camera: PinholeCamera) -> dict:
-    return {
-        "fx": camera.fx,
-        "fy": camera.fy,
-        "cx": camera.cx,
-        "cy": camera.cy,
-        "width": camera.width,
-        "height": camera.height,
-        "rotation": camera.rotation.tolist(),
-        "translation": camera.translation.tolist(),
-    }
+    arrays = {"rotation": camera.rotation.tolist(), "translation": camera.translation.tolist()}
+    return {**asdict(camera), **arrays}
 
 
 def camera_from_dict(d: dict) -> PinholeCamera:
@@ -57,16 +49,6 @@ def camera_from_dict(d: dict) -> PinholeCamera:
         width=d["width"], height=d["height"],
         rotation=np.array(d["rotation"]), translation=np.array(d["translation"]),
     )
-
-
-def _material_to_dict(m: MaterialVector) -> dict:
-    return {
-        "rgb": list(m.rgb),
-        "transmission": m.transmission,
-        "roughness": m.roughness,
-        "metallic": m.metallic,
-        "ior": m.ior,
-    }
 
 
 def material_from_dict(d: dict) -> MaterialVector:
@@ -101,8 +83,8 @@ class SceneManifest:
             "camera": _camera_to_dict(self.camera),
             "profile": self.profile.to_dict(),
             "fill_fraction": self.fill_fraction,
-            "vessel_material": _material_to_dict(self.vessel_material),
-            "content_material": _material_to_dict(self.content_material),
+            "vessel_material": asdict(self.vessel_material),
+            "content_material": asdict(self.content_material),
             "files": dict(self.files),
         }
 
@@ -166,43 +148,18 @@ def emit_scene(seed: int, config: SceneConfig, out_dir, write_meshes: bool = Tru
     output = render_scene(scene)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {}
-
-    depths = {
-        "vessel": output.vessel_depth,
-        "content": output.content_depth,
-        "opening": output.opening_depth,
-    }
-    xyzs = {
-        "vessel": output.vessel_xyz,
-        "content": output.content_xyz,
-        "opening": output.opening_xyz,
-    }
-    masks = {
-        "vessel": output.vessel_mask,
-        "content": output.content_mask,
-        "opening": SegMask(output.opening_depth.valid),
-    }
-    for role in ROLES:
-        name = artifact_name(seed, role, "depth")
-        write_pfm(out / name, depths[role])
-        files[f"{role}_depth"] = name
-        name = artifact_name(seed, role, "xyz")
-        write_pfm(out / name, xyzs[role])
-        files[f"{role}_xyz"] = name
-        name = artifact_name(seed, role, "mask")
-        write_pgm(out / name, masks[role])
-        files[f"{role}_mask"] = name
-
+    artifacts = [
+        (role, kind, write, getattr(output, f"{role}_{kind}"))
+        for role in ROLES
+        for kind, write in (("depth", write_pfm), ("xyz", write_pfm), ("mask", write_pgm))
+    ]
     if write_meshes:
-        for role, mesh in (
-            ("vessel", scene.vessel),
-            ("content", scene.content),
-            ("opening", scene.opening),
-        ):
-            name = artifact_name(seed, role, "mesh")
-            write_obj(out / name, mesh)
-            files[f"{role}_mesh"] = name
+        artifacts += [(role, "mesh", write_obj, getattr(scene, role)) for role in ROLES]
+    files = {}
+    for role, kind, write, value in artifacts:
+        name = artifact_name(seed, role, kind)
+        write(out / name, value)
+        files[f"{role}_{kind}"] = name
 
     manifest = SceneManifest(
         format_version=FORMAT_VERSION,

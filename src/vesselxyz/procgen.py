@@ -255,10 +255,6 @@ def generate_profile(seed: int, config: ProfileConfig | None = None) -> VesselPr
 # Meshes
 
 
-def empty_mesh(label: str) -> TriMesh:
-    return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), label)
-
-
 def surface_area(mesh: TriMesh) -> float:
     return float(np.sum(mesh.triangle_areas()))
 
@@ -272,42 +268,36 @@ def enclosed_volume(mesh: TriMesh) -> float:
     return float(np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0)
 
 
-def _revolution_rings(radii: np.ndarray, heights: np.ndarray, angular_segments: int):
-    """Stacked rings of a surface of revolution: (R*A, 3) vertices."""
-    theta = np.linspace(0.0, 2.0 * math.pi, angular_segments, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rings = np.empty((len(heights), angular_segments, 3))
-    rings[:, :, 0] = radii[:, None] * cos_t[None, :]
+def _revolved_mesh(
+    radii: np.ndarray, heights: np.ndarray, angular_segments: int, caps, label: str
+) -> TriMesh:
+    """Surface of revolution about +Y: stacked rings, quads between them, disk caps.
+
+    Ring j holds ``angular_segments`` vertices at height ``heights[j]`` and
+    radius ``radii[j]``.  Each quad between rings j and j+1 is split into two
+    outward-wound triangles, quads in (ring, angle) order.  Each cap
+    ``(ring index, upward)`` fans from a center on the axis at its ring's
+    height; the centers follow the rings and the fans follow the quads, in
+    cap order.
+    """
+    a, n = angular_segments, len(heights)
+    theta = np.linspace(0.0, 2.0 * math.pi, a, endpoint=False)
+    rings = np.empty((n, a, 3))
+    rings[:, :, 0] = radii[:, None] * np.cos(theta)[None, :]
     rings[:, :, 1] = heights[:, None]
-    rings[:, :, 2] = radii[:, None] * sin_t[None, :]
-    return rings.reshape(-1, 3)
-
-
-def _lateral_triangles(n_rings: int, angular_segments: int) -> np.ndarray:
-    """Outward-wound quads between consecutive rings, split into triangles."""
-    a = angular_segments
-    j = np.repeat(np.arange(n_rings - 1), a)
-    k = np.tile(np.arange(a), n_rings - 1)
-    k1 = (k + 1) % a
-    v00 = j * a + k  # (j, k)
-    v10 = (j + 1) * a + k  # (j+1, k)
-    v11 = (j + 1) * a + k1  # (j+1, k+1)
-    v01 = j * a + k1  # (j, k+1)
-    tris = np.empty((2 * len(j), 3), dtype=np.int64)
-    tris[0::2] = np.stack([v00, v10, v11], axis=1)
-    tris[1::2] = np.stack([v00, v11, v01], axis=1)
-    return tris
-
-
-def _disk_fan(center_index: int, ring_start: int, angular_segments: int, upward: bool):
-    a = angular_segments
+    rings[:, :, 2] = radii[:, None] * np.sin(theta)[None, :]
+    centers = np.array([[0.0, heights[ring], 0.0] for ring, _ in caps])
     k = np.arange(a)
     k1 = (k + 1) % a
-    if upward:
-        tris = np.stack([np.full(a, center_index), ring_start + k1, ring_start + k], axis=1)
-    else:
-        tris = np.stack([np.full(a, center_index), ring_start + k, ring_start + k1], axis=1)
-    return tris.astype(np.int64)
+    v0 = np.arange(n - 1)[:, None] * a + k  # (j, k); + a is (j+1, k)
+    v1 = np.arange(n - 1)[:, None] * a + k1  # (j, k+1)
+    quads = np.stack([v0, v0 + a, v1 + a, v0, v1 + a, v1], axis=-1).reshape(-1, 3)
+    fans = [
+        np.stack([np.full(a, n * a + i), *((k1, k) if up else (k, k1))], axis=1)
+        + [0, ring * a, ring * a]
+        for i, (ring, up) in enumerate(caps)
+    ]
+    return TriMesh(np.vstack([rings.reshape(-1, 3), centers]), np.vstack([quads, *fans]), label)
 
 
 def profile_to_mesh(
@@ -319,13 +309,9 @@ def profile_to_mesh(
             f"need >= 3 angular and >= 2 vertical segments, got {angular_segments}/{vertical_segments}"
         )
     heights = np.linspace(0.0, profile.height, vertical_segments + 1)
-    radii = profile.radius(heights)
-    verts = _revolution_rings(radii, heights, angular_segments)
-    tris = _lateral_triangles(vertical_segments + 1, angular_segments)
-    center = np.array([[0.0, 0.0, 0.0]])
-    vertices = np.vstack([verts, center])
-    cap = _disk_fan(len(vertices) - 1, 0, angular_segments, upward=False)
-    return TriMesh(vertices, np.vstack([tris, cap]), "vessel")
+    return _revolved_mesh(
+        profile.radius(heights), heights, angular_segments, [(0, False)], "vessel"
+    )
 
 
 def flat_liquid_fill(
@@ -350,31 +336,22 @@ def flat_liquid_fill(
     top = fill_fraction * profile.height - clearance
     bottom = clearance
     if top - bottom <= clearance:
-        return empty_mesh("content")
+        return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), "content")
     heights = np.linspace(bottom, top, vertical_segments + 1)
-    radii = profile.radius(heights) - clearance
-    verts = _revolution_rings(radii, heights, angular_segments)
-    tris = _lateral_triangles(vertical_segments + 1, angular_segments)
-    bottom_center = np.array([[0.0, bottom, 0.0]])
-    top_center = np.array([[0.0, top, 0.0]])
-    vertices = np.vstack([verts, bottom_center, top_center])
-    n = len(verts)
-    bottom_cap = _disk_fan(n, 0, angular_segments, upward=False)
-    top_cap = _disk_fan(n + 1, n - angular_segments, angular_segments, upward=True)
-    return TriMesh(vertices, np.vstack([tris, bottom_cap, top_cap]), "content")
+    caps = [(0, False), (vertical_segments, True)]
+    return _revolved_mesh(
+        profile.radius(heights) - clearance, heights, angular_segments, caps, "content"
+    )
 
 
 def opening_plane(profile: VesselProfile, angular_segments: int = 256) -> TriMesh:
     """Flat disk spanning the vessel's top rim."""
     if angular_segments < 3:
         raise InvalidResolution("need >= 3 angular segments")
-    rim = profile.rim_radius
-    ring = _revolution_rings(
-        np.array([rim]), np.array([profile.height]), angular_segments
+    return _revolved_mesh(
+        np.array([profile.rim_radius]), np.array([profile.height]), angular_segments,
+        [(0, True)], "opening",
     )
-    vertices = np.vstack([ring, [[0.0, profile.height, 0.0]]])
-    tris = _disk_fan(len(vertices) - 1, 0, angular_segments, upward=True)
-    return TriMesh(vertices, tris, "opening")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ object from the scene changes the first-hit depth by more than a small
 epsilon or flips hit/miss.  Content maps are rendered with the vessel
 removed, exposing the interior.
 
-Each mesh is cast once by ``bvh.cast_camera_rays``: a triangle is tested
-only against pixel centers inside its projected-corner box widened by 1e-3
-px, or against every pixel if a corner has camera-frame ``z <= 1e-9`` or its
-plane passes through the camera center.  The boxes hold every pixel the
-brute-force kernel would hit, so depths and masks keep their bits.
+Each mesh is cast once into one row of a first-hit table: the ray parameter
+``t`` of every pixel's nearest hit on that mesh, ``+inf`` on a miss and for
+an empty mesh.  A view of several meshes is the ``np.minimum`` of their
+rows, and a pixel is valid where that minimum is finite.  The cast is
+``bvh.cast_camera_rays``: a triangle is tested only against pixel centers
+inside its projected-corner box widened by 1e-3 px, or against every pixel
+if a corner has camera-frame ``z <= 1e-9`` or its plane passes through the
+camera center.  The boxes hold every pixel the brute-force kernel would
+hit, so depths and masks keep their bits.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class RenderOutput:
     opening_xyz: XyzMap
     vessel_mask: SegMask
     content_mask: SegMask
+    opening_mask: SegMask
 
 
 def camera_rays(camera: PinholeCamera):
@@ -71,61 +76,39 @@ def camera_rays(camera: PinholeCamera):
     return origins, dirs, unit_cam[:, 2].copy()
 
 
-class _SceneHits:
-    """Per-mesh first-hit results, combinable over any mesh subset."""
+def _first_hit_table(meshes: list, camera: PinholeCamera):
+    """``(t, axial)``: row m of ``t`` is mesh m's first-hit ray parameter per pixel.
 
-    def __init__(self, meshes: list, camera: PinholeCamera):
-        self.meshes = [m for m in meshes if not m.is_empty]
-        if not self.meshes:
-            raise EmptyScene("no triangles to render")
-        _, dirs, axial = camera_rays(camera)
-        self.axial = axial
-        self.camera = camera
-        self.hits = []
-        for mesh in self.meshes:
-            t, tri, _, _ = cast_camera_rays(mesh, camera, dirs)
-            self.hits.append((mesh.label, t, tri))
-        self.label_index = {label: mi for mi, (label, _, _) in enumerate(self.hits)}
+    ``t`` has shape ``(len(meshes), H*W)`` and reads ``+inf`` where the ray
+    misses the mesh and across the whole row of an empty mesh; ``axial`` is
+    :func:`camera_rays`'s per-pixel depth factor.
+    """
+    _, dirs, axial = camera_rays(camera)
+    t = np.full((len(meshes), len(axial)), np.inf)
+    for row, mesh in zip(t, meshes):
+        if not mesh.is_empty:
+            row[:] = cast_camera_rays(mesh, camera, dirs)[0]
+    return t, axial
 
-    def combine(self, labels):
-        """Nearest hit ``(t, mesh index)`` per ray over the meshes named in ``labels``.
 
-        Ties in t resolve to the earlier mesh, so splitting a scene into more
-        meshes never changes the result.
-        """
-        n = len(self.axial)
-        best_t = np.full(n, np.inf)
-        best_mesh = np.full(n, -1, dtype=np.int64)
-        for mi, (label, t, tri) in enumerate(self.hits):
-            if label not in labels:
-                continue
-            better = (tri >= 0) & (
-                (t < best_t) | ((t == best_t) & (mi < best_mesh))
-            )
-            best_t[better] = t[better]
-            best_mesh[better] = mi
-        return best_t, best_mesh
-
-    def depth_of(self, t: np.ndarray, valid: np.ndarray) -> DepthMap:
-        cam = self.camera
-        depth = np.where(valid, t * self.axial, np.nan)
-        return DepthMap(depth.reshape(cam.height, cam.width),
-                        valid.reshape(cam.height, cam.width))
+def _depth(t: np.ndarray, valid: np.ndarray, axial: np.ndarray, camera: PinholeCamera) -> DepthMap:
+    shape = (camera.height, camera.width)
+    return DepthMap(np.where(valid, t * axial, np.nan).reshape(shape), valid.reshape(shape))
 
 
 def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
     """Depth map of arbitrary geometry (a TriMesh or a list of TriMeshes)."""
     meshes = [geometry] if isinstance(geometry, TriMesh) else list(geometry)
-    hits = _SceneHits(meshes, camera)
-    t, mesh_idx = hits.combine({m.label for m in hits.meshes})
-    return hits.depth_of(t, mesh_idx >= 0)
+    if all(m.is_empty for m in meshes):
+        raise EmptyScene("no triangles to render")
+    t, axial = _first_hit_table(meshes, camera)
+    nearest = t.min(axis=0)
+    return _depth(nearest, np.isfinite(nearest), axial, camera)
 
 
-def _difference_mask(
-    t1: np.ndarray, ok1: np.ndarray, t2: np.ndarray, ok2: np.ndarray,
-    axial: np.ndarray, shape,
-) -> SegMask:
+def _difference_mask(t1: np.ndarray, t2: np.ndarray, axial: np.ndarray, shape) -> SegMask:
     """Pixels where two renders disagree: validity flips or depth moves."""
+    ok1, ok2 = np.isfinite(t1), np.isfinite(t2)
     flip = ok1 != ok2
     both = ok1 & ok2
     moved = np.zeros_like(flip)
@@ -139,36 +122,24 @@ def render_scene(scene: SceneRecord) -> RenderOutput:
     The full scene is vessel + content + ground; content maps come from the
     scene with the vessel removed; the opening disk is rendered alone (it is
     an annotation, not physical geometry, and must not occlude anything).
-    Each mesh is intersected exactly once and every view is combined from
-    those per-mesh hits.
+    The four meshes are cast once into one first-hit table, and each view is
+    the ``np.minimum`` of its rows.  An object owns a pixel of its view's
+    depth map where its own ``t`` is finite and no greater than the other
+    rows' minimum, so at equal ``t`` the vessel wins over the content and
+    the content over the ground.
     """
     if scene.opening.is_empty:
         raise EmptyScene("scene has no opening disk")
     camera = scene.camera
-    ground = scene.ground_plane.to_mesh()
-    hits = _SceneHits([scene.vessel, scene.content, ground, scene.opening], camera)
+    meshes = [scene.vessel, scene.content, scene.ground_plane.to_mesh(), scene.opening]
+    (vessel, content, ground, opening), axial = _first_hit_table(meshes, camera)
     shape = (camera.height, camera.width)
 
-    t_full, mesh_full = hits.combine({"vessel", "content", "ground"})
-    t_nov, mesh_nov = hits.combine({"content", "ground"})
-    t_gnd, mesh_gnd = hits.combine({"ground"})
-    t_open, mesh_open = hits.combine({"opening"})
-
-    def first_hit_is(mesh_idx: np.ndarray, label: str) -> np.ndarray:
-        if label not in hits.label_index:
-            return np.zeros_like(mesh_idx, dtype=bool)
-        return mesh_idx == hits.label_index[label]
-
-    vessel_depth = hits.depth_of(t_full, first_hit_is(mesh_full, "vessel"))
-    content_depth = hits.depth_of(t_nov, first_hit_is(mesh_nov, "content"))
-    opening_depth = hits.depth_of(t_open, mesh_open >= 0)
-
-    vessel_mask = _difference_mask(
-        t_full, mesh_full >= 0, t_nov, mesh_nov >= 0, hits.axial, shape
-    )
-    content_mask = _difference_mask(
-        t_nov, mesh_nov >= 0, t_gnd, mesh_gnd >= 0, hits.axial, shape
-    )
+    no_vessel = np.minimum(content, ground)
+    full = np.minimum(vessel, no_vessel)
+    vessel_depth = _depth(full, np.isfinite(vessel) & (vessel <= no_vessel), axial, camera)
+    content_depth = _depth(no_vessel, np.isfinite(content) & (content <= ground), axial, camera)
+    opening_depth = _depth(opening, np.isfinite(opening), axial, camera)
 
     return RenderOutput(
         vessel_depth=vessel_depth,
@@ -177,8 +148,9 @@ def render_scene(scene: SceneRecord) -> RenderOutput:
         vessel_xyz=depth_to_xyz(vessel_depth, camera),
         content_xyz=depth_to_xyz(content_depth, camera),
         opening_xyz=depth_to_xyz(opening_depth, camera),
-        vessel_mask=vessel_mask,
-        content_mask=content_mask,
+        vessel_mask=_difference_mask(full, no_vessel, axial, shape),
+        content_mask=_difference_mask(no_vessel, ground, axial, shape),
+        opening_mask=SegMask(opening_depth.valid),
     )
 
 

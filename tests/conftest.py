@@ -167,6 +167,62 @@ def oracle_obj_text(mesh: TriMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ── oracles: procgen meshes ────────────────────────────────────────────────
+# One vertex, quad and fan triangle at a time, in the documented order: ring
+# vertices (ring-major, angle-minor), then cap centers; quads ring-major,
+# each split (j,k),(j+1,k),(j+1,k+1) then (j,k),(j+1,k+1),(j,k+1); then cap
+# fans.  OBJ bytes and the renderer's lowest-triangle tie-break both depend
+# on this order.  The cosines come from np.cos on the same angle grid, so
+# the check is about order and arithmetic, not libm rounding.
+
+def _oracle_revolved(radii, heights, angular_segments, caps):
+    a = angular_segments
+    theta = np.linspace(0.0, 2.0 * math.pi, a, endpoint=False)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    verts = []
+    for r, h in zip(radii, heights):
+        for k in range(a):
+            verts.append((r * cos_t[k], h, r * sin_t[k]))
+    for ring, _ in caps:
+        verts.append((0.0, heights[ring], 0.0))
+    tris = []
+    for j in range(len(heights) - 1):
+        for k in range(a):
+            k1 = (k + 1) % a
+            tris.append((j * a + k, (j + 1) * a + k, (j + 1) * a + k1))
+            tris.append((j * a + k, (j + 1) * a + k1, j * a + k1))
+    for i, (ring, upward) in enumerate(caps):
+        center = len(heights) * a + i
+        for k in range(a):
+            k1 = (k + 1) % a
+            if upward:
+                tris.append((center, ring * a + k1, ring * a + k))
+            else:
+                tris.append((center, ring * a + k, ring * a + k1))
+    return np.array(verts, dtype=np.float64).reshape(-1, 3), np.array(tris, dtype=np.int64)
+
+
+def oracle_vessel_mesh(profile, angular_segments, vertical_segments):
+    """Rings from the base to the rim, closed by a downward disk at the base."""
+    heights = np.linspace(0.0, profile.height, vertical_segments + 1)
+    return _oracle_revolved(profile.radius(heights), heights, angular_segments, [(0, False)])
+
+
+def oracle_content_mesh(profile, fill_fraction, angular_segments, vertical_segments, clearance):
+    """Rings shrunk by ``clearance``, a downward bottom disk and an upward top disk."""
+    top = fill_fraction * profile.height - clearance
+    if top - clearance <= clearance:
+        return np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)
+    heights = np.linspace(clearance, top, vertical_segments + 1)
+    caps = [(0, False), (vertical_segments, True)]
+    return _oracle_revolved(profile.radius(heights) - clearance, heights, angular_segments, caps)
+
+
+def oracle_opening_mesh(profile, angular_segments):
+    """One ring at the rim and an upward disk."""
+    return _oracle_revolved([profile.rim_radius], [profile.height], angular_segments, [(0, True)])
+
+
 # ── naive oracles: metrics ───────────────────────────────────────────────
 
 def masked_point_list(m: XyzMap, mask: SegMask) -> list:

@@ -59,3 +59,21 @@ def test_traced_eval_reaches_hooked_calls(spans, gt, mode, span):
     names = {s[0] for s in tracer.spans}
     assert {"evaluation", "manifest.load", "formats.read", span} <= names
     assert tracer.counters["formats.bytes_read"] > 0
+
+
+def test_traced_generate_reaches_hooked_calls(spans, tmp_path):
+    # emit_scene must look its writers up when it runs: a writer table built
+    # at import time would hold the unwrapped functions and escape the hooks
+    tracer = spans.Tracer()
+    try:
+        spans.install_all(tracer)
+        tracer.enabled = True
+        assert main(["generate", "--seeds", "1", "--resolution", "32",
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = {s[0] for s in tracer.spans}
+    assert {"procgen.assemble", "renderer", "renderer.camera_rays", "geometry.depth_to_xyz",
+            "formats.write", "manifest.write"} <= names
+    written = sum(p.stat().st_size for p in tmp_path.iterdir() if p.suffix != ".json")
+    assert tracer.counters["formats.bytes_written"] == written > 0

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,16 @@ class TestGenerate:
         failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED seed" in line]
         assert len(failed) == 3
         assert all("degenerate" in line for line in failed)
+
+    def test_overflowing_ground_fails_its_seed(self, tmp_path, capsys):
+        # every ground triangle's area overflows to inf: the seed fails
+        # instead of rendering a scene without a ground
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ground_half_extent": 1e300}))
+        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "16",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARTIAL
+        assert "FAILED seed 1: " in capsys.readouterr().err
 
     def test_console_script_entrypoint(self):
         # runs the [project.scripts] entry point the way pip's generated
@@ -371,6 +382,19 @@ class TestEval:
         code = main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", mode])
         assert code == EXIT_DATA
         assert str(pred / name) in capsys.readouterr().err
+
+    def test_megabyte_header_token_is_data_error(self, gt_batch, tmp_path, capsys):
+        # one 1 MB token: the reader gives up at the token cap instead of
+        # growing the token byte by byte
+        pred = tmp_path / "pred"
+        shutil.copytree(gt_batch, pred)
+        bad = pred / "1_vessel_xyz.pfm"
+        bad.write_bytes(b"P" * (1 << 20))
+        start = time.perf_counter()
+        code = main(["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", "vessel-scale"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "keys, value",

@@ -127,6 +127,12 @@ class TestMapTypes:
         with pytest.raises(InvalidValue):
             TriMesh(vertices, [[0, 1, 2]], "content")
 
+    def test_mesh_rejects_overflowing_area(self):
+        # finite corners whose cross product overflows: the area reads inf
+        vertices = np.array([[-1e300, 0.0, -1e300], [-1e300, 0.0, 1e300], [1e300, 0.0, 1e300]])
+        with pytest.raises(InvalidValue):
+            TriMesh(vertices, [[0, 1, 2]], "ground")
+
 
 class TestBuildPairSet:
     def test_two_pixel_mask_single_pair(self):

@@ -24,6 +24,7 @@ from vesselxyz import (
     scene_violations,
     surface_area,
 )
+from conftest import oracle_content_mesh, oracle_opening_mesh, oracle_vessel_mesh
 
 CLEARANCE = 1e-4
 
@@ -183,6 +184,30 @@ class TestOpeningPlane:
         disk = opening_plane(prof, 64)
         radial = np.sqrt(disk.vertices[:, 0] ** 2 + disk.vertices[:, 2] ** 2)
         assert abs(radial.max() - prof.rim_radius) <= 1e-12
+
+
+class TestMeshOrder:
+    """Vertex and triangle bytes match the one-quad-at-a-time oracles."""
+
+    @staticmethod
+    def assert_same_bytes(mesh, expected):
+        vertices, triangles = expected
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.triangles.tobytes() == triangles.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("angular, vertical", [(3, 2), (5, 3), (96, 48)])
+    def test_vessel_content_opening(self, seed, angular, vertical):
+        prof = generate_profile(seed)
+        self.assert_same_bytes(
+            profile_to_mesh(prof, angular, vertical), oracle_vessel_mesh(prof, angular, vertical)
+        )
+        for fill in (0.0, 0.35, 1.0):  # 0.0 leaves no room for the clearance: empty
+            self.assert_same_bytes(
+                flat_liquid_fill(prof, fill, angular, vertical, CLEARANCE),
+                oracle_content_mesh(prof, fill, angular, vertical, CLEARANCE),
+            )
+        self.assert_same_bytes(opening_plane(prof, angular), oracle_opening_mesh(prof, angular))
 
 
 class TestAssembleScene:

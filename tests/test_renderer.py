@@ -7,7 +7,10 @@ from vesselxyz import (
     DepthMap,
     EmptyMask,
     EmptyScene,
+    GroundPlane,
+    MaterialVector,
     PinholeCamera,
+    SceneRecord,
     SegMask,
     TriMesh,
     VesselProfile,
@@ -181,6 +184,50 @@ class TestRenderScene:
         np.testing.assert_array_equal(a.vessel_depth.values[a.vessel_depth.valid],
                                       b.vessel_depth.values[b.vessel_depth.valid])
         np.testing.assert_array_equal(a.content_mask.values, b.content_mask.values)
+
+
+def tie_scene(vessel, content, ground=GroundPlane(0.0, 5.0)) -> SceneRecord:
+    """A hand-built scene under ``down_camera()``; the opening floats aside."""
+    opening = TriMesh(square_patch(0.9, 0.05).vertices, [[0, 1, 2], [0, 2, 3]], "opening")
+    material = MaterialVector((0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
+    return SceneRecord(
+        seed=0, profile=VesselProfile((), 0.05, 0.1, 8), vessel=vessel, content=content,
+        opening=opening, ground_plane=ground, camera=down_camera(), vessel_material=material,
+        content_material=material, fill_fraction=0.0,
+    )
+
+
+def relabeled(mesh: TriMesh, label: str) -> TriMesh:
+    return TriMesh(mesh.vertices, mesh.triangles, label)
+
+
+class TestCrossMeshTies:
+    """At equal t the earlier mesh keeps the pixel: vessel over content over ground."""
+
+    def test_vessel_keeps_tie_with_content(self):
+        vessel = relabeled(square_patch(0.5, 0.1), "vessel")
+        content = relabeled(vessel, "content")
+        tied = render_depth(vessel, down_camera()).valid
+        assert 0 < tied.sum() < tied.size
+        out = render_scene(tie_scene(vessel, content))
+        np.testing.assert_array_equal(
+            out.vessel_depth.values, render_depth(content, down_camera()).values
+        )
+        # the content's equal hit does not take the pixel from the vessel, and
+        # removing the vessel moves no depth, so its mask stays empty
+        np.testing.assert_array_equal(out.vessel_depth.valid, tied)
+        assert not out.vessel_mask.values.any()
+        np.testing.assert_array_equal(out.content_depth.valid, tied)
+
+    def test_content_keeps_tie_with_ground(self):
+        ground = GroundPlane(0.0, 5.0)
+        content = relabeled(ground.to_mesh(), "content")
+        out = render_scene(tie_scene(relabeled(square_patch(0.5, 0.1), "vessel"), content, ground))
+        np.testing.assert_array_equal(
+            out.content_depth.values, render_depth(ground.to_mesh(), down_camera()).values
+        )
+        assert out.content_depth.valid.all()
+        assert not out.content_mask.values.any()
 
 
 class TestCleanDepth:
