@@ -22,7 +22,7 @@ from .errors import MalformedHeader, TruncatedPayload
 from .geometry import DepthMap, SegMask, TriMesh, XyzMap
 
 _PFM_SCALE = -1.0  # little-endian
-_MAX_TOKEN_BYTES = 64  # longer than any magic, size or scale this format writes
+_MAX_TOKEN_BYTES = 64  # per header token with its leading whitespace; far more than written
 
 
 def validity_path(path) -> Path:
@@ -57,17 +57,15 @@ def read_pgm(path) -> SegMask:
 def _read_token(f, path) -> bytes:
     """One whitespace-delimited header token; consumes the delimiter after it."""
     token = b""
-    while True:
+    for _ in range(_MAX_TOKEN_BYTES):
         c = f.read(1)
         if not c:
             raise MalformedHeader(f"{path}: unexpected end of file in header")
-        if c.isspace():
-            if token:
-                return token
-            continue
-        if len(token) == _MAX_TOKEN_BYTES:
-            raise MalformedHeader(f"{path}: header token longer than {_MAX_TOKEN_BYTES} bytes")
-        token += c
+        if not c.isspace():
+            token += c
+        elif token:
+            return token
+    raise MalformedHeader(f"{path}: header token and whitespace over {_MAX_TOKEN_BYTES} bytes")
 
 
 def _read_payload(f, path, width: int, height: int, pixel_bytes: int) -> bytes:

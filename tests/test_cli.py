@@ -396,6 +396,19 @@ class TestEval:
         assert code == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
 
+    def test_whitespace_only_prediction_is_data_error(self, gt_batch, tmp_path, capsys):
+        # 32 MB of header whitespace: the reader gives up at the whitespace
+        # cap instead of reading the file byte by byte
+        pred = tmp_path / "pred"
+        shutil.copytree(gt_batch, pred)
+        bad = pred / "1_vessel_xyz.pfm"
+        bad.write_bytes(b" " * (32 << 20))
+        start = time.perf_counter()
+        code = main(["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", "vessel-scale"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "keys, value",
         [

@@ -26,7 +26,7 @@ from vesselxyz import (
     write_pfm,
     write_pgm,
 )
-from vesselxyz.formats import validity_path
+from vesselxyz.formats import _MAX_TOKEN_BYTES, validity_path
 from vesselxyz.manifest import manifest_name
 from conftest import oracle_obj_text
 
@@ -113,6 +113,18 @@ class TestPfm:
         path.write_bytes(b"PF\n100000 100000\n-1.0\n" + bytes(64))
         with pytest.raises(TruncatedPayload, match="120000000000"):
             read_xyz_pfm(path)
+
+    @pytest.mark.parametrize("spaces, ok", [(_MAX_TOKEN_BYTES - 3, True), (_MAX_TOKEN_BYTES - 2, False)])
+    def test_whitespace_before_a_token_is_capped(self, tmp_path, spaces, ok):
+        # the magic "Pf" and its delimiter count towards the cap too
+        path = tmp_path / "d.pfm"
+        blank = (b" \t\n\r" * spaces)[:spaces]
+        path.write_bytes(blank + b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 2.5))
+        if ok:
+            assert read_depth_pfm(path).values[0, 0] == 2.5
+        else:
+            with pytest.raises(MalformedHeader, match="whitespace"):
+                read_depth_pfm(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pfm"

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from vesselxyz import (
     DegenerateGT,
+    DimensionMismatch,
     EmptyMask,
     EmptySet,
+    InvalidEndpoint,
     MaterialVector,
     SegMask,
     TooFewPoints,
+    VesselXyzError,
     XyzMap,
     align_prediction,
     chamfer,
@@ -27,6 +30,7 @@ from vesselxyz import (
     seg_eval,
     similarity_from_region,
 )
+from vesselxyz.metrics import _nearest
 from conftest import (
     oracle_chamfer,
     oracle_mad,
@@ -114,6 +118,26 @@ class TestMaePoints:
         assert mae_points(pred2, gt2, mask) == pytest.approx(
             mae_points(pred, gt, mask), rel=1e-12
         )
+
+
+def depth_view_cap(n: int, radius: float = 0.08, depth: float = 1.0) -> np.ndarray:
+    """A sphere's front seen along +z: one point per pixel of an n x n grid 0.16 m wide."""
+    u = np.linspace(-0.08, 0.08, n)
+    x, y = (a.ravel() for a in np.meshgrid(u, u))
+    inside = x * x + y * y < radius * radius
+    x, y = x[inside], y[inside]
+    return np.stack([x, y, depth + radius - np.sqrt(radius * radius - x * x - y * y)], axis=1)
+
+
+def brute_nearest(points, queries) -> np.ndarray:
+    """Distance from each query to its nearest point, squares summed as ((x^2 + y^2) + z^2)."""
+    out = np.empty(len(queries))
+    rows = max(1, (1 << 20) // len(points))
+    for i in range(0, len(queries), rows):
+        d = points[None, :, :] - queries[i : i + rows, None, :]
+        x, y, z = d[..., 0], d[..., 1], d[..., 2]
+        out[i : i + rows] = np.sqrt(np.min((x * x + y * y) + z * z, axis=1))
+    return out
 
 
 class TestMad:
@@ -209,6 +233,13 @@ class TestMaxDst:
         rng = np.random.default_rng(36)
         assert_exact_diameter(rng.uniform(-1.0, 1.0, (6000, 3)))
 
+    def test_depth_view_cap(self):
+        # 2724 points in 672 kept cells: most of the cell pairs are dropped
+        # before the rest are sorted
+        cap = depth_view_cap(60)
+        assert_exact_diameter(cap)
+        assert_exact_diameter(cap @ random_rotation(np.random.default_rng(37)).T)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -294,6 +325,22 @@ class TestChamfer:
             a = rng.uniform(-1, 1, (n, 3))
             b = rng.uniform(-1, 1, (m, 3))
             assert chamfer(a, b) == pytest.approx(oracle_chamfer(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["uniform", "far-offset cap"])
+    def test_nearest_distances_match_brute_force_bitwise(self, case):
+        rng = np.random.default_rng(14)
+        if case == "uniform":
+            gt, pred = rng.uniform(-1, 1, (1500, 3)), rng.uniform(-1, 1, (2000, 3))
+        else:
+            # a 0.16 m depth-view surface and a prediction ~0.4 m behind it,
+            # at its center of curvature: from each predicted point, hundreds
+            # of surface points lie within 1 mm of the nearest distance
+            gt = depth_view_cap(60, radius=0.4)
+            pred = 0.1 * (gt - [0.0, 0.0, 1.0]) + [0.0, 0.0, 1.4] + rng.normal(0, 1e-3, gt.shape)
+        forward, backward = brute_nearest(pred, gt), brute_nearest(gt, pred)
+        assert np.array_equal(_nearest(pred, gt), forward)
+        assert np.array_equal(_nearest(gt, pred), backward)
+        assert chamfer(pred, gt) == float(np.mean(forward) + np.mean(backward))
 
 
 class TestAlignPrediction:
@@ -461,3 +508,52 @@ class TestEvaluateXyz:
         assert rep.mae_over_mad == rep.mae / rep.mad
         assert rep.chamfer_over_maxdst == rep.chamfer / rep.max_dst
         assert rep.r_squared <= 1.0
+
+
+def _error_case(name: str) -> tuple:
+    """(pred, gt, mask) for one degenerate evaluate_xyz input."""
+    rng = np.random.default_rng(23)
+    gt = random_xyz(rng, 4, 4)
+    pred = random_xyz(rng, 4, 4)
+    one = np.zeros((4, 4), bool)
+    one[1, 2] = True
+    holed = pred.valid.copy()
+    holed[1, 2] = False
+    if name == "size mismatch":
+        return pred, gt, full_mask(5, 4)
+    if name == "empty mask":
+        return pred, gt, SegMask(np.zeros((4, 4), bool))
+    if name == "invalid predicted pixel":
+        return XyzMap(pred.coords, holed), gt, full_mask(4, 4)
+    if name == "invalid predicted pixel before gt size":
+        return XyzMap(pred.coords, holed), random_xyz(rng, 5, 4), full_mask(4, 4)
+    if name == "invalid pixel before too few points":
+        return XyzMap(pred.coords, holed), gt, SegMask(one)
+    if name == "single point":
+        return pred, gt, SegMask(one)
+    if name == "zero-extent gt":
+        return pred, XyzMap(np.full((4, 4, 3), 0.5), gt.valid), full_mask(4, 4)
+    if name == "zero tss":  # nonzero extent, TSS below the floor
+        return pred, XyzMap(0.5 + 1e-8 * gt.coords, gt.valid), full_mask(4, 4)
+    raise AssertionError(name)
+
+
+# The errors class each degenerate input raises.  The "before" cases pin the
+# order: the prediction is checked before the GT, validity before the count.
+EVALUATE_XYZ_ERRORS = {
+    "size mismatch": DimensionMismatch,
+    "empty mask": EmptyMask,
+    "invalid predicted pixel": InvalidEndpoint,
+    "invalid predicted pixel before gt size": InvalidEndpoint,
+    "invalid pixel before too few points": InvalidEndpoint,
+    "single point": TooFewPoints,
+    "zero-extent gt": DegenerateGT,
+    "zero tss": DegenerateGT,
+}
+
+
+@pytest.mark.parametrize("name", EVALUATE_XYZ_ERRORS)
+def test_evaluate_xyz_error_contract(name):
+    with pytest.raises(VesselXyzError) as info:
+        evaluate_xyz(*_error_case(name))
+    assert type(info.value) is EVALUATE_XYZ_ERRORS[name]
