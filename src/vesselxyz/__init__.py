@@ -39,6 +39,7 @@ from .geometry import (
     build_pair_set,
     default_dilations,
     depth_to_xyz,
+    masked_points,
     pair_differences,
     xyz_to_depth,
 )
@@ -56,7 +57,6 @@ from .metrics import (
     MaterialErrors,
     SegReport,
     SimilarityTransform,
-    align_prediction,
     chamfer,
     evaluate_xyz,
     mad,
@@ -77,14 +77,11 @@ from .procgen import (
     SinusoidTerm,
     VesselProfile,
     assemble_scene,
-    enclosed_volume,
     flat_liquid_fill,
     generate_profile,
     look_at_camera,
     opening_plane,
     profile_to_mesh,
-    scene_violations,
-    surface_area,
 )
 from .bvh import Bvh, build_bvh, intersect_rays, intersect_rays_brute
 from .renderer import RenderOutput, clean_depth, render_depth, render_scene

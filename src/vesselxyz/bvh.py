@@ -55,6 +55,7 @@ CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be boxed
 CAST_MARGIN_PX = 1e-3  # widens each projected box against rounding
 CAST_PLANE_TOL = 1e-10  # relative plane distance below which rays in the plane hit anywhere
 CAST_BLOCK = 65536  # (pixel, triangle) pairs per kernel call of the camera cast
+BRUTE_PAIRS = 65536  # (ray, triangle) pairs per chunk of the brute-force scan
 
 
 @dataclass(frozen=True)
@@ -306,10 +307,12 @@ def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
         nodes = np.concatenate([bvh.left[inner], bvh.right[inner]])
 
 
-def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray, chunk: int = 128):
+def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray):
     """Nearest hit by testing every triangle; the BVH's ground truth.
 
     Works straight off the mesh so it shares nothing with the tree build.
+    Rays go ``BRUTE_PAIRS // triangles`` (at least one) at a time, so each
+    chunk tests about ``BRUTE_PAIRS`` (ray, triangle) pairs.
     """
     if mesh.is_empty:
         raise EmptyScene("cannot intersect an empty mesh")
@@ -322,13 +325,16 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray, c
     n_rays, n_tris = len(origins), len(tris)
     best_t, best_u, best_v = np.full(n_rays, np.inf), np.zeros(n_rays), np.zeros(n_rays)
     best_tri = np.full(n_rays, -1, dtype=np.int64)
+    chunk = max(1, BRUTE_PAIRS // n_tris)
+    # (axis, pair) rows: a chunk's rays repeated, the triangles tiled once for all chunks.
+    tiled = [np.tile(x.T, (1, min(chunk, n_rays))) for x in (tv0, te1, te2)]
     for lo in range(0, n_rays, chunk):
         hi = min(lo + chunk, n_rays)
         m = hi - lo
         hit, ht, hu, hv = _moller_trumbore(
-            np.repeat(origins[lo:hi], n_tris, axis=0).T,
-            np.repeat(dirs[lo:hi], n_tris, axis=0).T,
-            np.tile(tv0, (m, 1)).T, np.tile(te1, (m, 1)).T, np.tile(te2, (m, 1)).T,
+            np.repeat(origins[lo:hi].T, n_tris, axis=1),
+            np.repeat(dirs[lo:hi].T, n_tris, axis=1),
+            *(x[:, : m * n_tris] for x in tiled),
         )
         t, u, v = np.full(m * n_tris, np.inf), np.zeros(m * n_tris), np.zeros(m * n_tris)
         t[hit], u[hit], v[hit] = ht, hu, hv

@@ -74,4 +74,7 @@ class MalformedManifest(VesselXyzError):
 
 
 class MissingPrediction(VesselXyzError):
-    """An evaluation run cannot find a prediction file for a scene."""
+    """An evaluation's ground-truth directory holds no ``*_manifest.json``.
+
+    A missing prediction file is not an error: it gives an absent report row.
+    """

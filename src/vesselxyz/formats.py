@@ -86,7 +86,7 @@ def write_pfm(path, m) -> None:
         data = np.where(m.valid, m.values, -np.inf).astype("<f4")
     elif isinstance(m, XyzMap):
         magic = b"PF"
-        data = np.where(m.valid[..., None], m.coords, np.nan).astype("<f4")
+        data = m.coords.astype("<f4")
     else:
         raise TypeError(f"write_pfm expects DepthMap or XyzMap, got {type(m).__name__}")
     header = magic + f"\n{m.width} {m.height}\n{_PFM_SCALE}\n".encode("ascii")
@@ -117,7 +117,7 @@ def _read_pfm_raw(path):
     with np.errstate(invalid="ignore"):  # a signaling NaN casts to a quiet one
         data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     shape = (height, width) if channels == 1 else (height, width, channels)
-    return np.flipud(data.reshape(shape)).copy(), channels
+    return np.flipud(data.reshape(shape)), channels
 
 
 def _sibling_validity(path, shape):

@@ -9,12 +9,16 @@ Conventions used throughout the package:
 * The camera frame is the standard computer-vision frame: X right, Y down,
   Z forward.  ``PinholeCamera.rotation/translation`` map world points into
   that frame.
-* Invalid pixels store a quiet-NaN sentinel that no operation reads.
+* Invalid pixels store a quiet-NaN sentinel that no operation reads.  The
+  map constructors write it; callers pass any values there.
+* An object's points are the pixels :func:`masked_points` selects.
 
 All types are immutable after construction and all operations are pure
-functions.  Their arrays are read-only views; an argument that already has
-the right dtype and layout is viewed, not copied, so the caller's own array
-stays writeable and writing to it later changes the object too.
+functions.  Their arrays are read-only.  A map owns a fresh value array
+(its values with the sentinel written in); masks, meshes, pair indices and
+a map's ``valid`` are views of an argument that already has the right
+dtype and layout, so the caller's own array stays writeable and writing to
+it later changes the object too.
 """
 
 from __future__ import annotations
@@ -69,6 +73,28 @@ class SegMask:
         return int(self.values.sum())
 
 
+def _init_map(m, field: str, pixel: tuple, positive: bool) -> None:
+    """Check and store a map's ``field`` and ``valid`` arrays.
+
+    ``field`` must be ``(H, W) + pixel`` over an ``(H, W)`` validity mask,
+    and finite (and positive, for depth) on valid pixels.  It is stored as
+    ``np.where(valid, values, nan)``: one pass that also makes the copy.
+    """
+    values = np.asarray(getattr(m, field), dtype=np.float64)
+    valid = np.asarray(m.valid, dtype=bool)
+    if values.ndim != 2 + len(pixel) or values.shape != valid.shape + pixel:
+        raise DimensionMismatch(
+            f"{field} {values.shape} must be (H, W) + {pixel} over validity {valid.shape}"
+        )
+    sel = values[valid]
+    if not np.all(np.isfinite(sel)) or (positive and not np.all(sel > 0.0)):
+        need = "finite and positive" if positive else "finite"
+        raise NonPositiveDepth(f"valid pixels must have {need} {field}")
+    fill = valid[..., None] if pixel else valid
+    object.__setattr__(m, field, _frozen(np.where(fill, values, np.nan)))
+    object.__setattr__(m, "valid", _frozen(valid))
+
+
 @dataclass(frozen=True)
 class DepthMap:
     """Per-pixel optical-axis depth in meters with a validity mask.
@@ -81,19 +107,7 @@ class DepthMap:
     valid: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if values.ndim != 2 or values.shape != valid.shape:
-            raise DimensionMismatch(
-                f"depth {values.shape} and validity {valid.shape} must be equal 2-D shapes"
-            )
-        sel = values[valid]
-        if sel.size and not (np.all(np.isfinite(sel)) and np.all(sel > 0.0)):
-            raise NonPositiveDepth("valid pixels must have finite depth > 0")
-        values = values.copy()
-        values[~valid] = np.nan
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "valid", _frozen(valid))
+        _init_map(self, "values", (), positive=True)
 
     @property
     def height(self) -> int:
@@ -115,18 +129,7 @@ class XyzMap:
     valid: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if coords.ndim != 3 or coords.shape[2] != 3 or coords.shape[:2] != valid.shape:
-            raise DimensionMismatch(
-                f"coords {coords.shape} must be (H, W, 3) matching mask {valid.shape}"
-            )
-        if not np.all(np.isfinite(coords[valid])):
-            raise NonPositiveDepth("valid pixels must have finite coordinates")
-        coords = coords.copy()
-        coords[~valid] = np.nan
-        object.__setattr__(self, "coords", _frozen(coords))
-        object.__setattr__(self, "valid", _frozen(valid))
+        _init_map(self, "coords", (3,), positive=False)
 
     @property
     def height(self) -> int:
@@ -139,9 +142,7 @@ class XyzMap:
     def shifted(self, offset) -> "XyzMap":
         """New map translated by a constant per-axis offset."""
         off = np.asarray(offset, dtype=np.float64).reshape(3)
-        coords = self.coords.copy()
-        coords[self.valid] += off
-        return XyzMap(coords, self.valid)
+        return XyzMap(self.coords + off, self.valid)
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,21 @@ def valid_region(mask: SegMask, *maps: XyzMap | DepthMap) -> SegMask:
     return SegMask(sel)
 
 
+def masked_points(xyz: XyzMap, mask: SegMask) -> np.ndarray:
+    """(N, 3) points of the N mask pixels, row-major: an object's point set.
+
+    DimensionMismatch if the sizes differ, EmptyMask if the mask selects no
+    pixel, InvalidEndpoint if it selects a pixel the map marks invalid.
+    """
+    if (xyz.height, xyz.width) != (mask.height, mask.width):
+        raise DimensionMismatch(f"map {xyz.height}x{xyz.width} vs mask {mask.height}x{mask.width}")
+    if mask.count == 0:
+        raise EmptyMask("mask selects no pixel")
+    if not np.all(xyz.valid[mask.values]):
+        raise InvalidEndpoint("mask covers invalid pixels")
+    return xyz.coords[mask.values]
+
+
 def depth_to_xyz(depth: DepthMap, camera: PinholeCamera) -> XyzMap:
     """Back-project a depth map into camera-frame XYZ coordinates.
 
@@ -348,17 +364,14 @@ def xyz_to_depth(xyz: XyzMap, camera: PinholeCamera) -> DepthMap:
     """Project a camera-frame XYZ map back to its depth channel (Z).
 
     Inverse of :func:`depth_to_xyz` on valid pixels; the round trip is the
-    identity to floating-point precision.
+    identity to floating-point precision.  A valid pixel with Z <= 0 raises
+    NonPositiveDepth.
     """
     if (xyz.height, xyz.width) != (camera.height, camera.width):
         raise DimensionMismatch(
             f"xyz {xyz.height}x{xyz.width} vs camera {camera.height}x{camera.width}"
         )
-    z = xyz.coords[..., 2]
-    sel = z[xyz.valid]
-    if sel.size and not np.all(sel > 0.0):
-        raise NonPositiveDepth("all valid pixels must have Z > 0")
-    return DepthMap(z, xyz.valid)
+    return DepthMap(xyz.coords[..., 2], xyz.valid)
 
 
 def checked_dilations(dilations) -> tuple:

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateScale, DimensionMismatch, EmptyMask, EmptyPairSet, InvalidEndpoint, InvalidValue,
-)
-from .geometry import PairSet, SegMask, XyzMap, pair_differences
+from .errors import DegenerateScale, DimensionMismatch, EmptyPairSet, InvalidValue
+from .geometry import PairSet, SegMask, XyzMap, masked_points, pair_differences
 
 SCALE_CEILING = 10.0
 SCALE_FLOOR = 0.1
@@ -148,22 +146,13 @@ def translation_consistency_loss(
     Over pixels where vessel and content overlap, compares the GT offset
     (vessel - content) against the predicted one; a translation applied to
     both predicted objects cancels, so only relative placement is scored.
+    Each map's overlap points come from :func:`masked_points`, with its errors.
     """
-    maps = (pred_vessel, pred_content, gt_vessel, gt_content)
-    shape = (overlap.height, overlap.width)
-    for m in maps:
-        if (m.height, m.width) != shape:
-            raise DimensionMismatch("all four maps must match the overlap mask size")
-    sel = overlap.values
-    if not sel.any():
-        raise EmptyMask("vessel/content overlap is empty")
-    for m in maps:
-        if not np.all(m.valid[sel]):
-            raise InvalidEndpoint("overlap mask covers invalid pixels")
-    gt_offset = gt_vessel.coords[sel] - gt_content.coords[sel]
-    pred_offset = pred_vessel.coords[sel] - pred_content.coords[sel]
-    value = float(np.mean(np.abs(gt_offset - pred_offset)))
-    return LossReport(value, None, False, int(sel.sum()))
+    pv, pc, gv, gc = (
+        masked_points(m, overlap) for m in (pred_vessel, pred_content, gt_vessel, gt_content)
+    )
+    value = float(np.mean(np.abs((gv - gc) - (pv - pc))))
+    return LossReport(value, None, False, overlap.count)
 
 
 def _scatter_pair_grad(pairs: PairSet, per_pair: np.ndarray) -> np.ndarray:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    DegenerateGT,
-    DimensionMismatch,
-    EmptyMask,
-    EmptySet,
-    InvalidEndpoint,
-    TooFewPoints,
-)
-from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set
+from .errors import DegenerateGT, DimensionMismatch, EmptySet, TooFewPoints
+from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
 from .losses import scale_factor
 
 _DIAMETER_GRID = 16  # cells per axis of max_dst's bounding-box grid
@@ -69,16 +62,6 @@ class MaterialErrors:
     ior: float
 
 
-def _masked_points(xyz: XyzMap, mask: SegMask) -> np.ndarray:
-    if (xyz.height, xyz.width) != (mask.height, mask.width):
-        raise DimensionMismatch("map and mask sizes differ")
-    if mask.count == 0:
-        raise EmptyMask("metric mask is empty")
-    if not np.all(xyz.valid[mask.values]):
-        raise InvalidEndpoint("mask covers invalid pixels")
-    return xyz.coords[mask.values]
-
-
 def _sq_norms(d: np.ndarray) -> np.ndarray:
     """Squared norms over the last axis, summed as ((x*x + y*y) + z*z)."""
     return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
@@ -102,12 +85,12 @@ def _r_squared(p: np.ndarray, g: np.ndarray) -> float:
 
 def mae_points(pred: XyzMap, gt: XyzMap, mask: SegMask) -> float:
     """Mean Euclidean distance between same-pixel predicted and GT points."""
-    return _mae(_masked_points(pred, mask), _masked_points(gt, mask))
+    return _mae(masked_points(pred, mask), masked_points(gt, mask))
 
 
 def mad(gt: XyzMap, mask: SegMask) -> float:
     """Mean distance from each masked GT point to the GT centroid."""
-    return _mad(_masked_points(gt, mask))
+    return _mad(masked_points(gt, mask))
 
 
 def max_dst(gt: XyzMap, mask: SegMask) -> float:
@@ -127,7 +110,7 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
     case: a full sphere keeps every antipodal cell pair, and 20k points take
     ~1.6 s; a single depth view cannot produce one.
     """
-    g = _masked_points(gt, mask)
+    g = masked_points(gt, mask)
     if len(g) < 2:
         raise TooFewPoints("diameter needs at least 2 points")
     lo, hi = g.min(axis=0), g.max(axis=0)
@@ -163,7 +146,7 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
 
 def r_squared(pred: XyzMap, gt: XyzMap, mask: SegMask) -> float:
     """1 - RSS/TSS with squared point distances against the GT centroid."""
-    return _r_squared(_masked_points(pred, mask), _masked_points(gt, mask))
+    return _r_squared(masked_points(pred, mask), masked_points(gt, mask))
 
 
 def chamfer(pred_points: np.ndarray, gt_points: np.ndarray) -> float:
@@ -194,8 +177,8 @@ class SimilarityTransform:
 
     def apply(self, m: XyzMap, target_mask: SegMask) -> XyzMap:
         """Transformed copy of ``m``, valid only on the target pixels."""
-        coords = np.full_like(m.coords, np.nan)
-        coords[target_mask.values] = self.k * _masked_points(m, target_mask) + self.t
+        coords = np.empty_like(m.coords)  # XyzMap fills the pixels left unset
+        coords[target_mask.values] = self.k * masked_points(m, target_mask) + self.t
         return XyzMap(coords, target_mask.values)
 
 
@@ -209,31 +192,16 @@ def similarity_from_region(
 
     The scale is the pair-difference ratio K over the region; the translation
     matches the region centroids after scaling (the L2-optimal translation
-    for a fixed scale).
+    for a fixed scale).  Aligning with ``.apply(pred, target_mask)``: a
+    vessel region keeps a content target's placement errors relative to the
+    vessel; the target's own region removes them and leaves shape error.
     """
     pairs = build_pair_set(region, dilations)
     k = scale_factor(pred, gt, pairs).k
-    p_ref = _masked_points(pred, region)
-    g_ref = _masked_points(gt, region)
+    p_ref = masked_points(pred, region)
+    g_ref = masked_points(gt, region)
     t = np.mean(g_ref, axis=0) - k * np.mean(p_ref, axis=0)
     return SimilarityTransform(k, t)
-
-
-def align_prediction(
-    pred: XyzMap,
-    gt: XyzMap,
-    ref_mask: SegMask,
-    target_mask: SegMask,
-    dilations=None,
-) -> XyzMap:
-    """Rescale and translate a prediction to GT using a reference region.
-
-    Using the vessel as reference for a content target keeps the content's
-    relative placement errors in the result; using the object itself as
-    reference removes them and isolates pure shape error.
-    """
-    transform = similarity_from_region(pred, gt, ref_mask, dilations)
-    return transform.apply(pred, target_mask)
 
 
 def seg_eval(pred: SegMask, gt: SegMask) -> SegReport:
@@ -270,7 +238,7 @@ def material_mae(pred: MaterialVector, gt: MaterialVector) -> MaterialErrors:
 
 def evaluate_xyz(pred: XyzMap, gt: XyzMap, mask: SegMask) -> EvalReport:
     """Full metric bundle for one object: MAE, MAD, MaxDst, Chamfer, R^2."""
-    p, g = _masked_points(pred, mask), _masked_points(gt, mask)
+    p, g = masked_points(pred, mask), masked_points(gt, mask)
     err, spread = _mae(p, g), _mad(g)
     diameter = max_dst(gt, mask)  # by its public name, where perfbench times it
     cd = chamfer(p, g)
@@ -301,7 +269,6 @@ __all__ = [
     "r_squared",
     "chamfer",
     "similarity_from_region",
-    "align_prediction",
     "seg_eval",
     "material_mae",
     "evaluate_xyz",

@@ -25,7 +25,6 @@ from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
 _CAMERA_SALT = 13
-_CONTAINMENT_SALT = 14
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +252,6 @@ def generate_profile(seed: int, config: ProfileConfig | None = None) -> VesselPr
 
 # ---------------------------------------------------------------------------
 # Meshes
-
-
-def surface_area(mesh: TriMesh) -> float:
-    return float(np.sum(mesh.triangle_areas()))
-
-
-def enclosed_volume(mesh: TriMesh) -> float:
-    """Signed volume via the divergence theorem; positive for outward winding."""
-    if mesh.is_empty:
-        return 0.0
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    return float(np.sum(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0)
 
 
 def _revolved_mesh(
@@ -516,47 +502,3 @@ def assemble_scene(seed: int, config: SceneConfig | None = None) -> SceneRecord:
         content_material=content_material,
         fill_fraction=fill,
     )
-
-
-def sample_surface_points(mesh: TriMesh, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform area-weighted random points on a mesh surface."""
-    if mesh.is_empty:
-        return np.empty((0, 3))
-    areas = mesh.triangle_areas()
-    t = mesh.triangles[rng.choice(len(areas), size=n, p=areas / areas.sum())]
-    a, b, c = (mesh.vertices[t[:, i]] for i in range(3))
-    r1 = np.sqrt(rng.uniform(0.0, 1.0, n))
-    r2 = rng.uniform(0.0, 1.0, n)
-    w0 = 1.0 - r1
-    w1 = r1 * (1.0 - r2)
-    w2 = r1 * r2
-    return w0[:, None] * a + w1[:, None] * b + w2[:, None] * c
-
-
-def scene_violations(scene: SceneRecord, samples: int = 1000, tol: float = 1e-6) -> list:
-    """Check a scene's structural guarantees; returns human-readable violations.
-
-    Content containment is verified on ``samples`` random content-surface
-    points (seeded from the scene seed, so the check is reproducible); each
-    must sit inside the vessel interior within ``tol``.  The opening disk
-    must sit exactly at the rim height with the rim radius.
-    """
-    problems = []
-    profile = scene.profile
-    if not scene.content.is_empty:
-        rng = np.random.default_rng([scene.seed, _CONTAINMENT_SALT])
-        pts = sample_surface_points(scene.content, samples, rng)
-        ys = pts[:, 1]
-        radial = np.sqrt(pts[:, 0] ** 2 + pts[:, 2] ** 2)
-        if np.any(ys < -tol) or np.any(ys > profile.height + tol):
-            problems.append("content extends beyond the vessel height range")
-        limit = profile.radius(np.clip(ys, 0.0, profile.height)) + tol
-        if np.any(radial > limit):
-            problems.append("content reaches outside the vessel wall")
-    ys = scene.opening.vertices[:, 1]
-    if np.max(np.abs(ys - profile.height)) > 1e-12:
-        problems.append("opening disk is not at the rim height")
-    radial = np.sqrt(scene.opening.vertices[:, 0] ** 2 + scene.opening.vertices[:, 2] ** 2)
-    if abs(float(np.max(radial)) - profile.rim_radius) > 1e-12:
-        problems.append("opening disk radius differs from the rim radius")
-    return problems

@@ -26,9 +26,9 @@ import numpy as np
 
 # build_bvh and intersect_rays are unused here: perfbench/spans.py hooks them by these names.
 from .bvh import build_bvh, cast_camera_rays, intersect_rays  # noqa: F401
-from .errors import EmptyMask, EmptyScene
+from .errors import EmptyScene
 from .geometry import (
-    DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap, depth_to_xyz, valid_region,
+    DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap, depth_to_xyz, masked_points, valid_region,
 )
 from .procgen import SceneRecord
 
@@ -93,7 +93,7 @@ def _first_hit_table(meshes: list, camera: PinholeCamera):
 
 def _depth(t: np.ndarray, valid: np.ndarray, axial: np.ndarray, camera: PinholeCamera) -> DepthMap:
     shape = (camera.height, camera.width)
-    return DepthMap(np.where(valid, t * axial, np.nan).reshape(shape), valid.reshape(shape))
+    return DepthMap((t * axial).reshape(shape), valid.reshape(shape))
 
 
 def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
@@ -165,15 +165,13 @@ def clean_depth(
     Back-projects the masked (and valid) pixels, computes their centroid in
     one pass, and drops every pixel farther than ``max_offset`` from it.
     Mirrors the cleanup used on noisy consumer depth-sensor captures where
-    the scanned object is known to be small.
+    the scanned object is known to be small.  EmptyMask if no masked pixel
+    is valid.
     """
-    sel = valid_region(mask, depth).values
-    if not np.any(sel):
-        raise EmptyMask("no valid masked pixels to clean")
-    xyz = depth_to_xyz(depth, camera)
-    pts = xyz.coords[sel]
+    region = valid_region(mask, depth)
+    pts = masked_points(depth_to_xyz(depth, camera), region)
     centroid = np.mean(pts, axis=0)
     dist = np.sqrt(np.sum((pts - centroid) ** 2, axis=1))
-    drop = np.zeros_like(sel)
-    drop[sel] = dist > max_offset
-    return DepthMap(depth.values.copy(), depth.valid & ~drop)
+    drop = np.zeros_like(region.values)
+    drop[region.values] = dist > max_offset
+    return DepthMap(depth.values, depth.valid & ~drop)

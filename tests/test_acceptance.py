@@ -23,7 +23,6 @@ from vesselxyz import (
     build_bvh,
     build_pair_set,
     chamfer,
-    enclosed_volume,
     flat_liquid_fill,
     intersect_rays,
     intersect_rays_brute,
@@ -38,9 +37,7 @@ from vesselxyz import (
     render_depth,
     scale_factor,
     scale_invariant_loss,
-    scene_violations,
     seg_eval,
-    surface_area,
     translation_invariant_loss,
     write_pfm,
     write_pgm,
@@ -50,6 +47,7 @@ from vesselxyz.manifest import manifest_name
 from conftest import (
     dyadic_offset,
     dyadic_xyz,
+    enclosed_volume,
     icosphere,
     oracle_mad,
     oracle_mae,
@@ -60,6 +58,8 @@ from conftest import (
     oracle_translation_invariant,
     random_mask,
     random_xyz,
+    scene_violations,
+    surface_area,
 )
 from test_gradients import (
     assert_grad_close,

@@ -347,11 +347,12 @@ class TestEval:
         assert code == EXIT_OK
         assert "absent" in capsys.readouterr().out
 
-    def test_no_manifests_is_data_error(self, tmp_path):
+    def test_no_manifests_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main(["eval", "--gt", str(empty), "--pred", str(empty), "--mode", "vessel-scale"])
         assert code == EXIT_DATA
+        assert str(empty) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, blob, mode",

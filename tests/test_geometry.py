@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vesselxyz import (
     DepthMap,
@@ -14,10 +17,12 @@ from vesselxyz import (
     PinholeCamera,
     SegMask,
     TriMesh,
+    VesselXyzError,
     XyzMap,
     build_pair_set,
     default_dilations,
     depth_to_xyz,
+    masked_points,
     pair_differences,
     xyz_to_depth,
 )
@@ -132,6 +137,92 @@ class TestMapTypes:
         vertices = np.array([[-1e300, 0.0, -1e300], [-1e300, 0.0, 1e300], [1e300, 0.0, 1e300]])
         with pytest.raises(InvalidValue):
             TriMesh(vertices, [[0, 1, 2]], "ground")
+
+
+# What an invalid pixel may hold on input, and one map's worth of raw arrays.
+_INVALID_FILL = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -3.5, 1e308])
+
+
+@st.composite
+def _raw_map(draw, pixel: tuple, positive: bool):
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape = (h, w) + pixel
+    good = st.floats(1e-300, 1e300) if positive else st.floats(-1e300, 1e300)
+    values = draw(arrays(np.float64, shape, elements=good))
+    if not positive:
+        values[draw(arrays(bool, shape))] = -0.0
+    fill = draw(arrays(np.float64, shape, elements=_INVALID_FILL))
+    valid = draw(arrays(bool, (h, w)))
+    keep = valid[..., None] if pixel else valid
+    return np.where(keep, values, fill), valid
+
+
+def _copy_then_fill(values, valid):
+    """The map constructors' former store: a copy, then NaN on invalid pixels."""
+    out = np.asarray(values, dtype=np.float64).copy()
+    out[~valid] = np.nan
+    return out
+
+
+MAP_KINDS = {"depth": (DepthMap, (), True), "xyz": (XyzMap, (3,), False)}
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_map_store_matches_copy_then_fill(kind, data):
+    cls, pixel, positive = MAP_KINDS[kind]
+    values, valid = data.draw(_raw_map(pixel, positive))
+    m = cls(values, valid)
+    stored = m.values if cls is DepthMap else m.coords
+    assert stored.dtype == np.float64 and stored.flags.c_contiguous
+    assert stored.tobytes() == _copy_then_fill(values, valid).tobytes()
+    assert np.array_equal(m.valid, valid)
+    assert not np.shares_memory(stored, values)
+
+    h, w = valid.shape
+    with pytest.raises(DimensionMismatch):  # wrong ndim
+        cls(values[..., None], valid)
+    with pytest.raises(DimensionMismatch):  # shape mismatch
+        cls(values, np.ones((h, w + 1), bool))
+    if valid.any():
+        r, c = np.argwhere(valid)[data.draw(st.integers(0, int(valid.sum()) - 1))]
+        bad = [np.nan, np.inf, -np.inf] + ([0.0, -0.0, -1.0] if positive else [])
+        broken = values.copy()
+        broken[r, c] = data.draw(st.sampled_from(bad))
+        with pytest.raises(NonPositiveDepth):
+            cls(broken, valid)
+
+
+def _masked_points_case(name):
+    coords = np.arange(24, dtype=np.float64).reshape(2, 4, 3)
+    valid = np.ones((2, 4), bool)
+    valid[1, 3] = False
+    mask = np.zeros((2, 4), bool)
+    mask[0, 1] = mask[1, 0] = True
+    if name == "size mismatch":  # checked before emptiness
+        return XyzMap(coords, valid), SegMask(np.zeros((2, 3), bool))
+    if name == "empty mask":  # checked before validity
+        return XyzMap(coords, np.zeros((2, 4), bool)), SegMask(np.zeros((2, 4), bool))
+    if name == "invalid pixel":
+        mask[1, 3] = True
+    return XyzMap(coords, valid), SegMask(mask)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("size mismatch", DimensionMismatch),
+    ("empty mask", EmptyMask),
+    ("invalid pixel", InvalidEndpoint),
+])
+def test_masked_points_error_contract(name, error):
+    with pytest.raises(VesselXyzError) as info:
+        masked_points(*_masked_points_case(name))
+    assert type(info.value) is error
+
+
+def test_masked_points_row_major():
+    xyz, mask = _masked_points_case("valid")
+    np.testing.assert_array_equal(masked_points(xyz, mask), xyz.coords[[0, 1], [1, 0]])
 
 
 class TestBuildPairSet:

@@ -19,7 +19,6 @@ from vesselxyz import (
     TooFewPoints,
     VesselXyzError,
     XyzMap,
-    align_prediction,
     chamfer,
     evaluate_xyz,
     mad,
@@ -350,7 +349,7 @@ class TestAlignPrediction:
         mask = full_mask(10, 10)
         for s in (0.3, 1.0, 4.0):
             pred = XyzMap(s * gt.coords + np.array([0.5, -1.0, 2.0]), gt.valid)
-            aligned = align_prediction(pred, gt, mask, mask)
+            aligned = similarity_from_region(pred, gt, mask).apply(pred, mask)
             assert mae_points(aligned, gt, mask) < 1e-9
             assert r_squared(aligned, gt, mask) == pytest.approx(1.0, abs=1e-9)
 
@@ -358,7 +357,7 @@ class TestAlignPrediction:
         rng = np.random.default_rng(15)
         gt = random_xyz(rng, 8, 8)
         mask = full_mask(8, 8)
-        aligned = align_prediction(gt, gt, mask, mask)
+        aligned = similarity_from_region(gt, gt, mask).apply(gt, mask)
         assert mae_points(aligned, gt, mask) == 0.0
 
     def test_vessel_reference_keeps_content_offset(self):
@@ -376,12 +375,13 @@ class TestAlignPrediction:
         coords[content] += delta
         pred = XyzMap(coords, gt.valid)
 
-        by_vessel = align_prediction(pred, gt, SegMask(vessel), SegMask(content))
-        err_vessel = mae_points(by_vessel, gt, SegMask(content))
+        vessel, content = SegMask(vessel), SegMask(content)
+        by_vessel = similarity_from_region(pred, gt, vessel).apply(pred, content)
+        err_vessel = mae_points(by_vessel, gt, content)
         assert err_vessel == pytest.approx(np.linalg.norm(delta), rel=1e-9)
 
-        by_content = align_prediction(pred, gt, SegMask(content), SegMask(content))
-        err_content = mae_points(by_content, gt, SegMask(content))
+        by_content = similarity_from_region(pred, gt, content).apply(pred, content)
+        err_content = mae_points(by_content, gt, content)
         assert err_content < 1e-9
 
     def test_transform_reusable_across_maps(self):

@@ -16,15 +16,19 @@ from vesselxyz import (
     SinusoidTerm,
     VesselProfile,
     assemble_scene,
-    enclosed_volume,
     flat_liquid_fill,
     generate_profile,
     opening_plane,
     profile_to_mesh,
+)
+from conftest import (
+    enclosed_volume,
+    oracle_content_mesh,
+    oracle_opening_mesh,
+    oracle_vessel_mesh,
     scene_violations,
     surface_area,
 )
-from conftest import oracle_content_mesh, oracle_opening_mesh, oracle_vessel_mesh
 
 CLEARANCE = 1e-4
 
