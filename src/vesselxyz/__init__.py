@@ -93,6 +93,6 @@ from .formats import (
     write_pfm,
     write_pgm,
 )
-from .manifest import SceneManifest, emit_scene, load_manifest, replay_manifest
+from .manifest import SceneManifest, emit_scene, load_manifest
 from .evaluation import run_eval
 from .report import ReportDocument

@@ -17,14 +17,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import InvalidValue, MalformedConfig, VesselXyzError
+from .errors import GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
 from .geometry import PinholeCamera, build_pair_set, checked_dilations, valid_region
 from .losses import LOSS_KINDS, scale_invariant_loss, translation_invariant_loss
-from .manifest import emit_scene, load_manifest, replay_manifest
+from .manifest import emit_scene, load_manifest
 from .procgen import SceneConfig
-from .renderer import clean_depth
+from .renderer import CLEAN_MAX_OFFSET, clean_depth
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,7 +146,8 @@ def _build_parser() -> _Parser:
     cd.add_argument("--fy", type=float)
     cd.add_argument("--cx", type=float)
     cd.add_argument("--cy", type=float)
-    cd.add_argument("--max-offset", type=positive_float, default=0.10, help="meters, default 0.10")
+    cd.add_argument("--max-offset", type=positive_float, default=CLEAN_MAX_OFFSET,
+                    help=f"meters, default {CLEAN_MAX_OFFSET}")
     return parser
 
 
@@ -172,7 +173,10 @@ def _cmd_render(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out)
     _probe_writable(out)
-    replay_manifest(manifest, out)
+    try:
+        emit_scene(manifest.seed, manifest.config, out)
+    except VesselXyzError as e:  # the manifest's seed and config give no scene
+        raise GenerationFailed(f"{args.manifest}: {e}") from e
     print(f"re-rendered seed {manifest.seed} into {out}")
     return EXIT_OK
 

@@ -198,7 +198,6 @@ class PairSet:
 
     first: np.ndarray  # (N,) int64 flat indices
     second: np.ndarray  # (N,) int64 flat indices
-    dilations: tuple
     shape: tuple  # (H, W) of the originating mask
 
     def __post_init__(self):
@@ -214,7 +213,6 @@ class PairSet:
             raise InvalidValue(f"pair indices must lie in [0, {h * w}) for shape {(h, w)}")
         object.__setattr__(self, "first", _frozen(a.astype(np.int64, copy=False)))
         object.__setattr__(self, "second", _frozen(b.astype(np.int64, copy=False)))
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
         object.__setattr__(self, "shape", (h, w))
 
     def __len__(self) -> int:
@@ -408,7 +406,7 @@ def build_pair_set(mask: SegMask, dilations=None) -> PairSet:
             both = m[: h - d, :] & m[d:, :]
             firsts.append(flat[: h - d, :][both])
             seconds.append(flat[d:, :][both])
-    return PairSet(np.concatenate(firsts), np.concatenate(seconds), dil, (h, w))
+    return PairSet(np.concatenate(firsts), np.concatenate(seconds), (h, w))
 
 
 def pair_differences(xyz: XyzMap, pairs: PairSet) -> np.ndarray:

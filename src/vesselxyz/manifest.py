@@ -9,15 +9,17 @@ File naming is fixed so evaluation needs no configuration:
 ``<seed>_<role>_<kind>.<ext>`` with role in {vessel, content, opening} and
 kind in {depth, xyz, mask}; meshes are ``<seed>_<role>_mesh.obj`` and the
 manifest itself is ``<seed>_manifest.json``.
+
+``_FIELDS`` is the file's field list: each field's name, its writer and its
+checked reader, in file order.  Nested records are built by their own
+constructors, so an unknown key in one is an error, as is a missing one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
@@ -43,22 +45,65 @@ def _camera_to_dict(camera: PinholeCamera) -> dict:
     return {**asdict(camera), **arrays}
 
 
-def camera_from_dict(d: dict) -> PinholeCamera:
-    return PinholeCamera(
-        fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-        width=d["width"], height=d["height"],
-        rotation=np.array(d["rotation"]), translation=np.array(d["translation"]),
-    )
+def _record(cls, build=None):
+    """Reader of a nested record: an object holding every field of ``cls``.
+
+    ``build`` (default ``cls(**d)``) makes the record, so an unknown key
+    fails as the constructor's TypeError.
+    """
+    def parse(d):
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:  # a field with a default must still be in the file
+            raise InvalidValue(f"missing key {missing[0]!r}")
+        return build(d) if build else cls(**d)
+    return parse
 
 
-def material_from_dict(d: dict) -> MaterialVector:
-    return MaterialVector(
-        rgb=tuple(d["rgb"]),
-        transmission=d["transmission"],
-        roughness=d["roughness"],
-        metallic=d["metallic"],
-        ior=d["ior"],
-    )
+def _same(value):
+    return value
+
+
+def _format_version(value) -> int:
+    if type(value) is not int or value != FORMAT_VERSION:
+        raise InvalidValue(f"expected {FORMAT_VERSION}, got {value!r}")
+    return value
+
+
+def _seed(value) -> int:
+    if type(value) is not int or value < 0:  # the rule --seeds applies
+        raise InvalidValue(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _fraction(value) -> float:
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:  # NaN too
+        raise InvalidValue(f"expected a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _files(value) -> dict:
+    files = dict(value)
+    bad = [
+        key for key in (f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask"))
+        if not isinstance(files.get(key), str)
+    ]
+    if bad:
+        raise InvalidValue(f"no file name for {', '.join(bad)}")
+    return files
+
+
+# The manifest's fields in file order, each as (name, to JSON, checked from JSON).
+_FIELDS = (
+    ("format_version", _same, _format_version),
+    ("seed", _same, _seed),
+    ("config", SceneConfig.to_dict, SceneConfig.from_dict),
+    ("camera", _camera_to_dict, _record(PinholeCamera)),
+    ("profile", VesselProfile.to_dict, _record(VesselProfile, VesselProfile.from_dict)),
+    ("fill_fraction", _same, _fraction),
+    ("vessel_material", asdict, _record(MaterialVector)),
+    ("content_material", asdict, _record(MaterialVector)),
+    ("files", dict, _files),
+)
 
 
 @dataclass(frozen=True)
@@ -76,55 +121,24 @@ class SceneManifest:
     files: dict
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "camera": _camera_to_dict(self.camera),
-            "profile": self.profile.to_dict(),
-            "fill_fraction": self.fill_fraction,
-            "vessel_material": asdict(self.vessel_material),
-            "content_material": asdict(self.content_material),
-            "files": dict(self.files),
-        }
+        return {name: dump(getattr(self, name)) for name, dump, _ in _FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneManifest":
         """Parse a manifest document; MalformedManifest names the bad field."""
-        fields = {}
-        for name, parse in _FIELD_PARSERS:
+        values = {}
+        for name, _, parse in _FIELDS:
             try:
-                fields[name] = parse(d[name])
-            except (AttributeError, KeyError, TypeError, ValueError, VesselXyzError) as e:
+                values[name] = parse(d[name])
+            except (
+                AttributeError, KeyError, OverflowError, TypeError, ValueError, VesselXyzError
+            ) as e:
                 why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
                 raise MalformedManifest(f"field {name!r}: {why}") from e
-        files = fields["files"]
-        bad = [
-            key for key in (f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask"))
-            if not isinstance(files.get(key), str)
-        ]
-        if bad:
-            raise MalformedManifest(f"field 'files': no file name for {', '.join(bad)}")
-        return cls(**fields)
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidValue(f"expected an integer, got {value!r}")
-    return value
-
-
-_FIELD_PARSERS = (
-    ("format_version", _integer),
-    ("seed", _integer),
-    ("config", SceneConfig.from_dict),
-    ("camera", camera_from_dict),
-    ("profile", VesselProfile.from_dict),
-    ("fill_fraction", float),
-    ("vessel_material", material_from_dict),
-    ("content_material", material_from_dict),
-    ("files", dict),
-)
+        unknown = sorted(set(d) - set(values))
+        if unknown:
+            raise MalformedManifest(f"field {unknown[0]!r}: unknown key")
+        return cls(**values)
 
 
 def write_manifest(manifest: SceneManifest, path) -> None:
@@ -162,20 +176,9 @@ def emit_scene(seed: int, config: SceneConfig, out_dir, write_meshes: bool = Tru
         files[f"{role}_{kind}"] = name
 
     manifest = SceneManifest(
-        format_version=FORMAT_VERSION,
-        seed=seed,
-        config=config,
-        camera=scene.camera,
-        profile=scene.profile,
-        fill_fraction=scene.fill_fraction,
-        vessel_material=scene.vessel_material,
-        content_material=scene.content_material,
-        files=files,
+        FORMAT_VERSION, seed, config, scene.camera, scene.profile, scene.fill_fraction,
+        scene.vessel_material, scene.content_material, files,
     )
     write_manifest(manifest, out / manifest_name(seed))
     return manifest
 
-
-def replay_manifest(manifest: SceneManifest, out_dir) -> SceneManifest:
-    """Regenerate a manifest's scene from its seed and config echo."""
-    return emit_scene(manifest.seed, manifest.config, out_dir)

@@ -115,21 +115,11 @@ class VesselProfile:
         return float(self._knot_radii[-1])
 
     def to_dict(self) -> dict:
-        return {
-            "terms": [term_to_dict(t) for t in self.terms],
-            "base_radius": self.base_radius,
-            "height": self.height,
-            "samples": self.samples,
-        }
+        return {**asdict(self), "terms": [term_to_dict(t) for t in self.terms]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "VesselProfile":
-        return cls(
-            terms=tuple(term_from_dict(t) for t in d["terms"]),
-            base_radius=d["base_radius"],
-            height=d["height"],
-            samples=d["samples"],
-        )
+        return cls(**{**d, "terms": tuple(term_from_dict(t) for t in d["terms"])})
 
 
 @dataclass(frozen=True)

@@ -320,14 +320,13 @@ def oracle_mad(gt, mask) -> float:
 
 
 def oracle_max_dst(gt, mask) -> float:
-    pts = masked_point_list(gt, mask)
+    """Largest distance over every pair: each point against all later points."""
+    pts = np.array(masked_point_list(gt, mask)).reshape(-1, 3)
     best = 0.0
-    for i, a in enumerate(pts):
-        ax, ay, az = a
-        for b in pts[i + 1 :]:
-            d = ((ax - b[0]) ** 2 + (ay - b[1]) ** 2) + (az - b[2]) ** 2
-            if d > best:
-                best = d
+    for i in range(len(pts) - 1):
+        (ax, ay, az), b = pts[i], pts[i + 1 :]
+        d = ((ax - b[:, 0]) ** 2 + (ay - b[:, 1]) ** 2) + (az - b[:, 2]) ** 2
+        best = max(best, float(d.max()))
     return math.sqrt(best)
 
 

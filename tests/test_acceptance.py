@@ -378,14 +378,15 @@ def test_c08_procgen_fidelity(tmp_path):
     assert not bad, f"scene invariant failures: {bad}"
 
     # bit-identical replay from a manifest
-    from vesselxyz import SceneConfig, emit_scene, load_manifest, replay_manifest
+    from vesselxyz import SceneConfig, emit_scene, load_manifest
     import hashlib
 
     config = SceneConfig(resolution=96, angular_segments=48, vertical_segments=24)
     first = tmp_path / "first"
     second = tmp_path / "second"
     emit_scene(33, config, first)
-    replay_manifest(load_manifest(first / manifest_name(33)), second)
+    replayed = load_manifest(first / manifest_name(33))
+    emit_scene(replayed.seed, replayed.config, second)
     h1 = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(first.iterdir())}
     h2 = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(second.iterdir())}
     assert h1 == h2

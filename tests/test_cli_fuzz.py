@@ -5,6 +5,8 @@ a traceback; a readable file passes (exit 0).  ``generate`` may also exit 3,
 when a config in range still fails to give a scene for a seed.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -113,3 +115,93 @@ def test_generate_with_any_config_bytes(blob):
         code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "8",
                      "--no-meshes", "--out", str(Path(tmp) / "o")])
     assert code in (EXIT_OK, EXIT_DATA, EXIT_PARTIAL)
+
+
+def _key_paths(node, prefix=()):
+    """The key path of every field of a JSON object, nested objects included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_MANIFEST = "1_manifest.json"
+
+
+def _manifest_cli_runs(gt, tmp, keys, value):
+    """Exit code and stderr of render, eval and clean-depth on the manifest with one key changed.
+
+    ``value`` replaces the field at ``keys``, or deletes it when it is ``_DELETE``.
+    """
+    changed = Path(tmp) / "gt"
+    shutil.copytree(gt, changed)
+    path = changed / _MANIFEST
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    runs = [
+        ["render", "--manifest", str(path), "--out", str(Path(tmp) / "render")],
+        ["eval", "--gt", str(changed), "--pred", str(gt), "--mode", "content-scale"],
+        ["clean-depth", "--depth", str(gt / "1_vessel_depth.pfm"),
+         "--mask", str(gt / "1_vessel_mask.pgm"), "--manifest", str(path),
+         "--out", str(Path(tmp) / "clean.pfm")],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        yield argv[0], code, err.getvalue(), str(path)
+
+
+_ODD_VALUES = st.sampled_from([-3, 2.5, True, "x", float("nan"), [1], {"a": 1}])
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_manifest_with_any_field_changed(tiny_gt, data):
+    doc = json.loads((tiny_gt / _MANIFEST).read_text())
+    nested = sorted(path for path in _key_paths(doc) if len(path) > 1)
+    keys = data.draw(st.one_of(st.sampled_from([(key,) for key in doc]), st.sampled_from(nested)),
+                     label="keys")
+    keys, value = data.draw(st.one_of(
+        st.just((keys, _DELETE)),
+        st.just((keys[:-1] + ("bogus",), 1)),
+        _ODD_VALUES.map(lambda v: (keys, v)),
+    ), label="change")
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp, keys, value):
+            # a new artifact name fails as a read of that GT file, which the error names
+            if keys[:-1] == ("files",) and isinstance(value, str):
+                path = str(Path(path).parent / value)
+            assert code in (EXIT_OK, EXIT_DATA), (command, err)
+            assert code == EXIT_OK or path in err, (command, err)
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("camera", "bogus"), 1),
+        (("vessel_material", "bogus"), 1),
+        (("profile", "bogus"), 1),
+        (("bogus",), 1),
+        (("format_version",), 7),
+        (("fill_fraction",), "0.5"),
+        (("fill_fraction",), True),
+        (("fill_fraction",), 5.0),
+        (("seed",), -3),
+    ],
+    ids=["camera-unknown-key", "material-unknown-key", "profile-unknown-key",
+         "top-level-unknown-key", "format-version-7", "fill-fraction-string",
+         "fill-fraction-bool", "fill-fraction-above-1", "negative-seed"],
+)
+def test_rejected_manifest_field_names_file_and_field(tiny_gt, tmp_path, keys, value):
+    for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp_path, keys, value):
+        assert code == EXIT_DATA, (command, err)
+        assert path in err and repr(keys[0]) in err and keys[-1] in err, (command, err)

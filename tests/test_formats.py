@@ -21,7 +21,6 @@ from vesselxyz import (
     read_depth_pfm,
     read_pgm,
     read_xyz_pfm,
-    replay_manifest,
     write_obj,
     write_pfm,
     write_pgm,
@@ -255,7 +254,7 @@ class TestManifest:
         first = tmp_path / "first"
         second = tmp_path / "second"
         manifest = emit_scene(11, config, first)
-        replay_manifest(manifest, second)
+        emit_scene(manifest.seed, manifest.config, second)
         assert _dir_hashes(first) == _dir_hashes(second)
 
     def test_two_runs_hash_stable(self, tmp_path):

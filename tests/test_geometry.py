@@ -291,12 +291,12 @@ class TestPairSet:
     ])
     def test_out_of_range_index_rejected(self, first, second):
         with pytest.raises(InvalidValue):
-            PairSet(first, second, (1,), (2, 3))
+            PairSet(first, second, (2, 3))
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (-2, 3), (2, -3)])
     def test_nonpositive_shape_rejected(self, shape):
         with pytest.raises(InvalidValue):
-            PairSet([], [], (1,), shape)
+            PairSet([], [], shape)
 
     @pytest.mark.parametrize("first, second", [
         ([0.5, 1.7], [1, 2]),  # would truncate to [0, 1]
@@ -308,18 +308,18 @@ class TestPairSet:
     ])
     def test_non_integer_index_rejected(self, first, second):
         with pytest.raises(InvalidValue):
-            PairSet(first, second, (1,), (2, 3))
+            PairSet(first, second, (2, 3))
 
     def test_grid_corners_accepted(self):
-        pairs = PairSet([0, 4], [5, 5], (1,), (2, 3))
+        pairs = PairSet([0, 4], [5, 5], (2, 3))
         assert len(pairs) == 2 and pairs.shape == (2, 3)
-        assert len(PairSet([], [], (1,), (1, 1))) == 0
+        assert len(PairSet([], [], (1, 1))) == 0
 
     def test_int64_indices_kept_without_copy(self):
         first, second = np.array([0, 4]), np.array([5, 5])
-        pairs = PairSet(first, second, (1,), (2, 3))
+        pairs = PairSet(first, second, (2, 3))
         assert np.shares_memory(pairs.first, first) and np.shares_memory(pairs.second, second)
-        pairs = PairSet(np.array([0, 4], np.int32), np.array([5, 5], np.uint8), (1,), (2, 3))
+        pairs = PairSet(np.array([0, 4], np.int32), np.array([5, 5], np.uint8), (2, 3))
         assert pairs.first.dtype == pairs.second.dtype == np.int64
 
 
@@ -329,7 +329,7 @@ def test_callers_arrays_stay_writeable():
     first, second, mask = np.array([0, 4]), np.array([5, 5]), np.ones((2, 3), bool)
     coords, depth, valid = np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 3), bool)
     made = [
-        PairSet(first, second, (1,), (2, 3)).first, SegMask(mask).values,
+        PairSet(first, second, (2, 3)).first, SegMask(mask).values,
         XyzMap(coords, valid).valid, DepthMap(depth, valid).valid,
     ]
     for a in (first, second, mask, coords, depth, valid):

@@ -99,7 +99,7 @@ def test_scatter_matches_add_at(seed, h, w, n, touched_frac, special_frac):
     spread = max(1, int(round(touched_frac * h * w)))
     first = rng.integers(0, spread, n)
     second = rng.integers(0, spread, n)
-    pairs = PairSet(first, second, (1,), (h, w))
+    pairs = PairSet(first, second, (h, w))
     per_pair = _values(rng, (n, 3), special_frac)
     got = losses._scatter_pair_grad(pairs, per_pair)
     assert got.shape == (h, w, 3)
@@ -111,7 +111,7 @@ def test_scatter_matches_add_at(seed, h, w, n, touched_frac, special_frac):
 
 
 def test_scatter_of_negative_zeros_reads_positive_zero():
-    pairs = PairSet([0, 0], [1, 2], (1,), (1, 4))
+    pairs = PairSet([0, 0], [1, 2], (1, 4))
     got = losses._scatter_pair_grad(pairs, np.full((2, 3), -0.0))
     assert np.all(got == 0.0) and not np.signbit(got).any()
     assert got.tobytes() == oracle_scatter_pair_grad(pairs, np.full((2, 3), -0.0)).tobytes()
