@@ -17,13 +17,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError
+from .errors import (
+    DimensionMismatch, GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError,
+)
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
 from .geometry import PinholeCamera, build_pair_set, checked_dilations, valid_region
 from .losses import LOSS_KINDS, scale_invariant_loss, translation_invariant_loss
 from .manifest import emit_scene, load_manifest
-from .procgen import SceneConfig
+from .procgen import _MAX_RESOLUTION, SceneConfig
 from .renderer import CLEAN_MAX_OFFSET, clean_depth
 
 EXIT_OK = 0
@@ -69,8 +71,11 @@ def parse_dilations(text: str) -> tuple:
         raise _UsageError(str(e)) from None
 
 
-def positive_int(text: str) -> int:
-    return _positive(int(text))
+def _resolution(text: str) -> int:
+    value = _positive(int(text))
+    if value > _MAX_RESOLUTION:
+        raise _UsageError(f"must be at most {_MAX_RESOLUTION}, got {value}")
+    return value
 
 
 def positive_float(text: str) -> float:
@@ -116,7 +121,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1..20 or 3,5,9")
     gen.add_argument("--config", help="scene config JSON (defaults used otherwise)")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--resolution", type=positive_int, help="override render resolution")
+    gen.add_argument("--resolution", type=_resolution, help="override render resolution")
     gen.add_argument("--no-meshes", action="store_true", help="skip OBJ export")
 
     ren = sub.add_parser("render", help="replay one manifest's artifacts")
@@ -222,7 +227,11 @@ def _cmd_clean_depth(args) -> int:
             raise _UsageError(f"--fx/--fy/--cx/--cy: {e}") from None
     else:
         raise _UsageError("clean-depth needs --manifest or all of --fx/--fy/--cx/--cy")
-    cleaned = clean_depth(depth, camera, mask, max_offset=args.max_offset)
+    try:
+        cleaned = clean_depth(depth, camera, mask, max_offset=args.max_offset)
+    except DimensionMismatch as e:
+        files = ", ".join(filter(None, (args.depth, args.mask, args.manifest)))
+        raise DimensionMismatch(f"{files}: {e}") from e
     write_pfm(args.out, cleaned)
     removed = int(depth.valid.sum() - cleaned.valid.sum())
     print(f"removed {removed} pixels; wrote {args.out}")

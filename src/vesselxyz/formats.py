@@ -9,10 +9,14 @@ back to the sentinel pattern otherwise.
 
 Rows follow the PFM convention: bottom-to-top, little-endian (negative
 scale).  PGM is binary P5, maxval 255; any value >= 128 reads as set.
+Both share one header, ``magic / width height / last field``.  A reader
+checks the magic first, then the declared size against the file, and only
+then reads the payload.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -29,29 +33,30 @@ def validity_path(path) -> Path:
     return Path(path).with_suffix(".valid.pgm")
 
 
-def write_pgm(path, mask: SegMask) -> None:
-    data = np.where(mask.values, 255, 0).astype(np.uint8)
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
+def _write_grid(path, magic: bytes, width: int, height: int, last, data: np.ndarray) -> None:
+    header = magic + f"\n{width} {height}\n{last}\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header + data.tobytes())
 
 
-def read_pgm(path) -> SegMask:
+def _read_grid(path, magic: bytes, last_type, pixel_bytes: int):
+    """``(width, height, last field, payload)`` of a file; ``last_type`` parses the last field."""
     with open(path, "rb") as f:
-        magic = _read_token(f, path)
-        if magic != b"P5":
-            raise MalformedHeader(f"{path}: expected binary PGM magic 'P5', got {magic!r}")
+        found = _read_token(f, path)
+        if found != magic:
+            raise MalformedHeader(f"{path}: expected magic {magic!r}, got {found!r}")
         try:
-            width = int(_read_token(f, path))
-            height = int(_read_token(f, path))
-            maxval = int(_read_token(f, path))
+            width, height = int(_read_token(f, path)), int(_read_token(f, path))
+            last = last_type(_read_token(f, path))
         except ValueError as e:
-            raise MalformedHeader(f"{path}: non-numeric PGM header field") from e
-        if maxval != 255:
-            raise MalformedHeader(f"{path}: only maxval 255 is supported, got {maxval}")
-        payload = _read_payload(f, path, width, height, 1)
-    values = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return SegMask(values >= 128)
+            raise MalformedHeader(f"{path}: non-numeric header field") from e
+        if width <= 0 or height <= 0:
+            raise MalformedHeader(f"{path}: non-positive size {width}x{height} in header")
+        size = width * height * pixel_bytes
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if size > left:
+            raise TruncatedPayload(f"{path}: expected {size} payload bytes, got {left}")
+        return width, height, last, f.read(size)
 
 
 def _read_token(f, path) -> bytes:
@@ -68,86 +73,58 @@ def _read_token(f, path) -> bytes:
     raise MalformedHeader(f"{path}: header token and whitespace over {_MAX_TOKEN_BYTES} bytes")
 
 
-def _read_payload(f, path, width: int, height: int, pixel_bytes: int) -> bytes:
-    """The declared payload, after checking the header against the file size."""
-    if width <= 0 or height <= 0:
-        raise MalformedHeader(f"{path}: non-positive size {width}x{height} in header")
-    size = width * height * pixel_bytes
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise TruncatedPayload(f"{path}: expected {size} payload bytes, got {left}")
-    return f.read(size)
+def write_pgm(path, mask: SegMask) -> None:
+    data = np.where(mask.values, 255, 0).astype(np.uint8)
+    _write_grid(path, b"P5", mask.width, mask.height, 255, data)
+
+
+def read_pgm(path) -> SegMask:
+    width, height, maxval, payload = _read_grid(path, b"P5", int, 1)
+    if maxval != 255:
+        raise MalformedHeader(f"{path}: only maxval 255 is supported, got {maxval}")
+    return SegMask(np.frombuffer(payload, dtype=np.uint8).reshape(height, width) >= 128)
 
 
 def write_pfm(path, m) -> None:
     """Write a DepthMap (Pf) or XyzMap (PF) plus its validity sibling."""
     if isinstance(m, DepthMap):
-        magic = b"Pf"
-        data = np.where(m.valid, m.values, -np.inf).astype("<f4")
+        magic, data = b"Pf", np.where(m.valid, m.values, -np.inf)
     elif isinstance(m, XyzMap):
-        magic = b"PF"
-        data = m.coords.astype("<f4")
+        magic, data = b"PF", m.coords
     else:
         raise TypeError(f"write_pfm expects DepthMap or XyzMap, got {type(m).__name__}")
-    header = magic + f"\n{m.width} {m.height}\n{_PFM_SCALE}\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header + np.flipud(data).tobytes())
+    _write_grid(path, magic, m.width, m.height, _PFM_SCALE, np.flipud(data.astype("<f4")))
     write_pgm(validity_path(path), SegMask(m.valid))
 
 
-def _read_pfm_raw(path):
-    with open(path, "rb") as f:
-        magic = _read_token(f, path)
-        if magic == b"PF":
-            channels = 3
-        elif magic == b"Pf":
-            channels = 1
-        else:
-            raise MalformedHeader(f"{path}: not a PFM file (magic {magic!r})")
-        try:
-            width = int(_read_token(f, path))
-            height = int(_read_token(f, path))
-            scale = float(_read_token(f, path))
-        except ValueError as e:
-            raise MalformedHeader(f"{path}: non-numeric PFM header field") from e
-        if scale == 0.0:
-            raise MalformedHeader(f"{path}: zero scale")
-        payload = _read_payload(f, path, width, height, channels * 4)
-    dtype = "<f4" if scale < 0 else ">f4"
+def _read_pfm(path, magic: bytes, pixel: tuple, cls):
+    """A ``cls`` map from a PFM file of kind ``magic`` with per-pixel shape ``pixel``.
+
+    Validity is the sibling mask, which must have the map's size; without
+    one, a pixel is valid when it is finite, and for depth also positive.
+    """
+    width, height, scale, payload = _read_grid(path, magic, float, 4 * math.prod(pixel))
+    if scale == 0.0:
+        raise MalformedHeader(f"{path}: zero scale")
     with np.errstate(invalid="ignore"):  # a signaling NaN casts to a quiet one
-        data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    shape = (height, width) if channels == 1 else (height, width, channels)
-    return np.flipud(data.reshape(shape)), channels
-
-
-def _sibling_validity(path, shape):
+        data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4").astype(np.float64)
+    data = np.flipud(data.reshape(height, width, *pixel))
     vp = validity_path(path)
-    if not os.path.exists(vp):
-        return None
-    mask = read_pgm(vp)
-    if (mask.height, mask.width) != shape:
-        raise MalformedHeader(f"{vp}: validity mask size differs from the map")
-    return mask.values
+    if os.path.exists(vp):
+        valid = read_pgm(vp).values
+        if valid.shape != (height, width):
+            raise MalformedHeader(f"{vp}: validity mask size differs from the map")
+    else:  # the sentinels: NaN in XYZ, -inf in depth
+        valid = np.isfinite(data).all(axis=-1) if pixel else np.isfinite(data) & (data > 0)
+    return cls(data, valid)
 
 
 def read_depth_pfm(path) -> DepthMap:
-    data, channels = _read_pfm_raw(path)
-    if channels != 1:
-        raise MalformedHeader(f"{path}: expected 1-channel 'Pf' depth, found 3-channel 'PF'")
-    valid = _sibling_validity(path, data.shape)
-    if valid is None:
-        valid = np.isfinite(data) & (data > 0)
-    return DepthMap(data, valid)
+    return _read_pfm(path, b"Pf", (), DepthMap)
 
 
 def read_xyz_pfm(path) -> XyzMap:
-    data, channels = _read_pfm_raw(path)
-    if channels != 3:
-        raise MalformedHeader(f"{path}: expected 3-channel 'PF' coordinates, found 'Pf'")
-    valid = _sibling_validity(path, data.shape[:2])
-    if valid is None:
-        valid = np.all(np.isfinite(data), axis=-1)
-    return XyzMap(data, valid)
+    return _read_pfm(path, b"PF", (3,), XyzMap)
 
 
 def write_obj(path, mesh: TriMesh) -> None:

@@ -162,6 +162,9 @@ class PinholeCamera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        size = (self.width, self.height)
+        if not all(type(n) is int and n >= 1 for n in size):
+            raise InvalidValue(f"width and height must be integers >= 1, got {size}")
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidValue("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

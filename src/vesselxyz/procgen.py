@@ -25,6 +25,10 @@ from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
 _CAMERA_SALT = 13
+# Caps on the sizes a config may ask for, far above any useful scene.
+_MAX_RESOLUTION = 8192
+_MAX_SEGMENTS = 8192
+_MAX_SAMPLES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +75,10 @@ def term_to_dict(term) -> dict:
 def term_from_dict(d: dict):
     kinds = {c.__name__: c for c in (LinearTerm, PolynomialTerm, SinusoidTerm)}
     d = dict(d)
-    cls = kinds[d.pop("kind")]
-    return cls(**d)
+    kind = d.pop("kind")
+    if kind not in kinds:
+        raise InvalidValue(f"terms: unknown kind {kind!r}, expected one of {sorted(kinds)}")
+    return kinds[kind](**d)
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,8 @@ class VesselProfile:
     samples: int = 1024
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise InvalidResolution("profile needs at least 2 knots")
+        if not 2 <= self.samples <= _MAX_SAMPLES:
+            raise InvalidResolution(f"profile needs 2 to {_MAX_SAMPLES} knots, got {self.samples}")
         if not (self.base_radius > 0 and self.height > 0):
             raise InvalidValue("base_radius and height must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -143,9 +149,9 @@ class ProfileConfig:
 # field, must meet; SceneConfig.from_dict also needs wall_clearance < min_radius.
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 _CONFIG_BOUNDS = {
-    "angular_segments": ((">", 2),),
-    "vertical_segments": ((">", 1),),
-    "resolution": ((">", 0),),
+    "angular_segments": ((">", 2), ("<=", _MAX_SEGMENTS)),
+    "vertical_segments": ((">", 1), ("<=", _MAX_SEGMENTS)),
+    "resolution": ((">", 0), ("<=", _MAX_RESOLUTION)),
     "focal_px": ((">", 0.0),),
     "wall_clearance": ((">", 0.0),),
     "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
@@ -155,7 +161,7 @@ _CONFIG_BOUNDS = {
     "profile.base_radius": ((">", 0.0),),
     "profile.min_radius": ((">", 0.0),),
     "profile.poly_degrees": ((">=", 0),),
-    "profile.samples": ((">=", 2),),
+    "profile.samples": ((">=", 2), ("<=", _MAX_SAMPLES)),
     "profile.max_retries": ((">=", 1),),
 }
 

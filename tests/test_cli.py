@@ -135,13 +135,20 @@ class TestGenerate:
             ('{"profile": {"samples": 1}}', "profile.samples"),
             ('{"profile": {"max_retries": 0}}', "profile.max_retries"),
             ("[" * 100000, None),
+            # above the size caps, and above what numpy can allocate
+            ('{"resolution": 10000000000000000000}', "resolution"),
+            ('{"angular_segments": 10000000000000000000}', "angular_segments"),
+            ('{"vertical_segments": 10000000000000000000}', "vertical_segments"),
+            ('{"profile": {"samples": 10000000000000000000}}', "profile.samples"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
              "reversed-term-count", "negative-height", "fill-above-one",
              "negative-poly-degrees", "clearance-above-min-radius", "negative-clearance",
              "zero-camera-distance", "negative-ground", "zero-base-radius",
-             "zero-min-radius", "one-profile-sample", "no-retries", "nested-too-deep"],
+             "zero-min-radius", "one-profile-sample", "no-retries", "nested-too-deep",
+             "huge-resolution", "huge-angular-segments", "huge-vertical-segments",
+             "huge-profile-samples"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
@@ -158,6 +165,13 @@ class TestGenerate:
         code = main(["generate", "--seeds", "1", "--out", str(tmp_path), "--resolution", "0"])
         assert code == EXIT_USAGE
         assert "--resolution" in capsys.readouterr().err
+
+    def test_huge_resolution_flag_is_usage_error(self, tmp_path, capsys):
+        code = main(["generate", "--seeds", "1", "--out", str(tmp_path),
+                     "--resolution", "10000000000000000000"])
+        assert code == EXIT_USAGE
+        assert "--resolution" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_degenerate_meshes_fail_per_seed(self, tmp_path, capsys):
         # a nanometer-high vessel has degenerate triangles: each seed fails
@@ -279,6 +293,23 @@ class TestRender:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert str(path) in err and "'config'" in err and "'resolution'" in err
+
+    @pytest.mark.parametrize(
+        "field", ["resolution", "angular_segments", "vertical_segments", "profile.samples"]
+    )
+    def test_huge_config_size_in_manifest_is_data_error(self, gt_batch, tmp_path, capsys, field):
+        path = tmp_path / manifest_name(2)
+        doc = json.loads((gt_batch / manifest_name(2)).read_text())
+        *parents, key = field.split(".")
+        node = doc["config"]
+        for parent in parents:
+            node = node[parent]
+        node[key] = 10**19  # above the cap and above what numpy can allocate
+        path.write_text(json.dumps(doc))
+        code = main(["render", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "'config'" in err and repr(field) in err
 
 
 class TestEval:
@@ -604,6 +635,25 @@ class TestCleanDepth:
             ]
         )
         assert code == EXIT_DATA
+
+    def test_camera_of_another_size_names_the_files(self, gt_batch, tmp_path, capsys):
+        manifest = tmp_path / manifest_name(1)
+        doc = json.loads((gt_batch / manifest_name(1)).read_text())
+        doc["camera"]["width"] *= 2
+        manifest.write_text(json.dumps(doc))
+        depth = gt_batch / "1_vessel_depth.pfm"
+        code = main(
+            [
+                "clean-depth",
+                "--depth", str(depth),
+                "--mask", str(gt_batch / "1_vessel_mask.pgm"),
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / "x.pfm"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(depth) in err and str(manifest) in err and "vs camera" in err
 
     def test_requires_camera_source(self, gt_batch, tmp_path):
         code = main(

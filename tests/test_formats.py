@@ -2,10 +2,14 @@
 
 import hashlib
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselxyz import (
     DepthMap,
@@ -125,6 +129,16 @@ class TestPfm:
             with pytest.raises(MalformedHeader, match="whitespace"):
                 read_depth_pfm(path)
 
+    @pytest.mark.parametrize(
+        "magic, read", [(b"PF", read_depth_pfm), (b"Pf", read_xyz_pfm), (b"P5", read_xyz_pfm)]
+    )
+    def test_other_kind_rejected_at_its_magic(self, tmp_path, magic, read):
+        # the header declares 120 GB; the magic fails before the size is checked
+        path = tmp_path / "f.pfm"
+        path.write_bytes(magic + b"\n100000 100000\n-1.0\n" + bytes(64))
+        with pytest.raises(MalformedHeader, match="magic"):
+            read(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P6\n2 2\n-1.0\n" + b"\x00" * 16)
@@ -199,6 +213,39 @@ class TestPgm:
         path.write_bytes(b"P5\n100000 100000\n255\n" + b"\xff" * 16)
         with pytest.raises(TruncatedPayload, match="10000000000"):
             read_pgm(path)
+
+
+# magic: (bytes per pixel, the last header field as written)
+_KINDS = {b"P5": (1, b"255"), b"Pf": (4, b"-1.0"), b"PF": (12, b"-1.0")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.sampled_from(sorted(_KINDS)),
+    size=st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+    last=st.sampled_from([None, None, b"254", b"1.0", b"0.0", b"nan", b"1e999"]),
+    odd=st.none() | st.tuples(st.integers(0, 3), st.binary(max_size=6)),
+    gap=st.sampled_from([b" ", b"\n", b"\t\r\n"]),
+    cut=st.integers(-3, 3),
+    data=st.data(),
+)
+def test_readers_return_a_map_or_a_format_error(magic, size, last, odd, gap, cut, data):
+    """Any header, with one token replaced by arbitrary bytes or none, and a payload
+    of about the size the header declares for ``magic``."""
+    pixel_bytes, usual_last = _KINDS[magic]
+    tokens = [magic, *(b"%d" % n for n in size), last or usual_last]
+    if odd:
+        tokens[odd[0]] = odd[1]
+    n = max(0, size[0] * size[1] * pixel_bytes + cut)
+    payload = data.draw(st.binary(min_size=n, max_size=n), label="payload")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.pfm"
+        path.write_bytes(gap.join(tokens) + gap + payload)
+        for read, kind in ((read_pgm, SegMask), (read_depth_pfm, DepthMap), (read_xyz_pfm, XyzMap)):
+            try:
+                assert isinstance(read(path), kind)
+            except (MalformedHeader, TruncatedPayload):
+                pass
 
 
 class TestObj:

@@ -126,6 +126,17 @@ class TestMapTypes:
         with pytest.raises(InvalidValue):
             PinholeCamera(**params)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", 16.5), ("width", 2.0), ("height", True), ("height", 0), ("width", -2)],
+        ids=["fractional-width", "float-width", "bool-height", "zero-height", "negative-width"],
+    )
+    def test_camera_rejects_non_integer_size(self, field, value):
+        params = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
+        params[field] = value
+        with pytest.raises(InvalidValue, match="integers"):
+            PinholeCamera(**params)
+
     def test_mesh_rejects_non_finite_vertex(self):
         vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         vertices[1, 2] = np.nan

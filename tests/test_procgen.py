@@ -10,6 +10,7 @@ from vesselxyz import (
     GenerationFailed,
     InvalidResolution,
     LinearTerm,
+    MalformedConfig,
     PolynomialTerm,
     ProfileConfig,
     SceneConfig,
@@ -93,6 +94,10 @@ class TestProfiles:
         config = ProfileConfig(base_radius=(0.004, 0.004), max_retries=20)
         with pytest.raises(GenerationFailed):
             generate_profile(0, config)
+
+    def test_knot_count_is_capped(self):
+        with pytest.raises(InvalidResolution, match="1048577"):
+            VesselProfile((), 0.05, 0.1, samples=2**20 + 1)
 
     def test_roundtrip_serialization(self):
         prof = generate_profile(9)
@@ -212,6 +217,22 @@ class TestMeshOrder:
                 oracle_content_mesh(prof, fill, angular, vertical, CLEARANCE),
             )
         self.assert_same_bytes(opening_plane(prof, angular), oracle_opening_mesh(prof, angular))
+
+
+@pytest.mark.parametrize(
+    "field, cap",
+    [("resolution", 8192), ("angular_segments", 8192), ("vertical_segments", 8192),
+     ("profile.samples", 2**20)],
+)
+def test_config_size_fields_are_capped(field, cap):
+    def doc(value):
+        for key in reversed(field.split(".")):
+            value = {key: value}
+        return value
+
+    SceneConfig.from_dict(doc(cap))  # a config builds no mesh or image, so this allocates nothing
+    with pytest.raises(MalformedConfig, match=f"'{field}': must be <= {cap}"):
+        SceneConfig.from_dict(doc(cap + 1))
 
 
 class TestAssembleScene:
