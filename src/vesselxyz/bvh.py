@@ -3,39 +3,33 @@
 ``cast_camera_rays`` is the renderer's cast.  Every camera ray runs from
 the camera center through a pixel center, so a triangle with every corner
 at camera-frame ``z > CAST_Z_EPS`` can be hit only through pixel centers in
-the box of its projected corners, widened by ``CAST_MARGIN_PX`` (1e-3 px)
-against rounding.  The kernel's own error is ~``eps * f`` px unless its
+the box of its projected corners, widened by ``CAST_MARGIN_PX`` against
+rounding.  The kernel's own error is ~``eps * f`` px unless its
 determinant is pure rounding, which happens only for rays in the triangle's
 plane; so a triangle whose plane passes within a relative ``CAST_PLANE_TOL``
 of the camera center gets every pixel, as does one reaching ``z <=
-CAST_Z_EPS``, whose image is unbounded.  The candidates hold every pair the
-kernel reports as a hit, and run ``CAST_BLOCK`` at a time through the same
-kernel on the same inputs as a brute-force scan, resolved by the same
-smallest (t, triangle index): (t, tri, u, v) keep their bits.
+CAST_Z_EPS``.  These whole-image triangles run over the pixels in
+``CAST_BLOCK`` slices, with scalar triangle terms and no gathers; the boxed
+triangles' (pixel, triangle) pairs run ``CAST_BLOCK`` at a time.  Either way
+the kernel sees the values a brute-force scan gives it, and hits resolve
+by the same smallest (t, triangle index): (t, tri, u, v) keep their bits.
 
-``intersect_rays`` over a ``build_bvh`` tree is now only the API for
-arbitrary rays; rendering does not use it.  The build is a
-level-synchronous median split.  Per depth, node boxes and centroid extents
-come from ``np.minimum/maximum.reduceat``, each node takes its widest
-centroid axis by ``argmax``, and one stable ``np.lexsort((key, node))``
-sorts every node's triangles along its axis: the stable per-node
-sort of a recursive build, so triangle order, leaves and node count are a
-recursive build's.  Nodes are numbered breadth first; the children of the
-internal nodes are nodes 1, 2, ... in pairs.
+``intersect_rays`` over a ``build_bvh`` tree serves arbitrary rays;
+rendering does not use it.  The build is a level-synchronous median split:
+per depth, one stable ``np.lexsort((key, node))`` sorts every node's
+triangles along its widest centroid axis, so triangle order and leaves are
+a recursive build's; nodes are numbered breadth first, children in pairs.
+Traversal moves breadth-first wavefronts of (ray, node) pairs through
+per-axis slab tests, ``RAY_BLOCK`` rays at a time, and resolves hits as
+the brute force does, whatever the traversal order.
 
-Traversal moves breadth-first wavefronts of (ray, node) pairs through the
-tree as numpy array operations, ``RAY_BLOCK`` rays at a time so a wavefront
-stays in cache.  Bounds, origins and directions are split into per-axis 1-D
-arrays, and the slab test chains ``fmin/fmax/maximum/minimum`` over them.
-Hits resolve to the smallest (t, triangle index) pair, so results equal a
-brute-force scan of every triangle whatever the traversal order.
-
-The Moller-Trumbore test writes its cross products out per component and
-sums each 3-term dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
-``einsum("ij,ij->i")`` does (it adds into a zeroed output, so a zero sum is
-+0.0), so ``t``, ``u`` and ``v`` are bit-identical to the ``np.cross`` /
-``einsum`` form; the naive order differs on a fifth of random rows.  Only
-pairs with ``det != 0`` and ``0 <= u <= 1`` go on to ``v`` and ``t``.
+The one Moller-Trumbore kernel writes cross products per component and
+sums each dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
+``einsum("ij,ij->i")`` does, so its bits are the ``np.cross``/``einsum``
+form's.  ``s = o - v0``, ``q = s x e1`` and ``e2 . q`` hold no ray
+direction: the cast computes them once per triangle for its one origin,
+the brute force and the BVH per pair.  Only pairs with ``det != 0`` and
+``0 <= u <= 1`` go on to ``v`` and ``t``.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import EmptyScene, InvalidValue
 from .geometry import PinholeCamera, TriMesh, _frozen
@@ -54,7 +47,7 @@ RAY_BLOCK = 8192  # rays per traversal wavefront
 CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be boxed
 CAST_MARGIN_PX = 1e-3  # widens each projected box against rounding
 CAST_PLANE_TOL = 1e-10  # relative plane distance below which rays in the plane hit anywhere
-CAST_BLOCK = 65536  # (pixel, triangle) pairs per kernel call of the camera cast
+CAST_BLOCK = 8192  # (pixel, triangle) pairs per kernel call of the camera cast
 BRUTE_PAIRS = 65536  # (ray, triangle) pairs per chunk of the brute-force scan
 
 
@@ -137,27 +130,40 @@ def _dot(a, b):
     return ((a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]) + 0.0
 
 
-def _moller_trumbore(o, d, v0, e1, e2):
+def _norm(a):
+    """Length of an (x, y, z) triple, summed as ``norm(axis=-1)`` sums it."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+
+
+def _origin_terms(o, v0, e1, e2):
+    """``(s, q, e2 . q)`` with ``s = o - v0`` and ``q = s x e1``: no ray direction in them."""
+    with np.errstate(invalid="ignore"):
+        s = tuple(a - b for a, b in zip(o, v0))
+        q = _cross(s, e1)
+        return s, q, _dot(e2, q)
+
+
+def _moller_trumbore(d, e1, e2, s, q, e2q, rows=None):
     """Ray/triangle test over pairs; returns (hit indices, t, u, v of those hits).
 
-    Every argument is an (x, y, z) triple of 1-D arrays, one entry per pair.
-    Barycentric bounds are inclusive so rays through shared edges register
-    on both incident triangles (the caller's (t, id) tie-break then picks
-    one deterministically) instead of slipping through a crack.
+    ``d`` holds per-pair (x, y, z) rows.  ``e1``, ``e2`` and the
+    :func:`_origin_terms` ``s``, ``q``, ``e2q`` are per pair or scalars, or
+    ``q`` and ``e2q`` are per triangle and pair i reads row ``rows[i]``.
+    Bounds are inclusive: a ray through a shared edge hits both triangles,
+    and the caller's (t, id) tie-break picks one.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         p = _cross(d, e2)
         det = _dot(e1, p)
         inv_det = 1.0 / det
-        s = (o[0] - v0[0], o[1] - v0[1], o[2] - v0[2])
         u = _dot(s, p) * inv_det
         # u > 1 fails u + v <= 1 for every v >= 0, so such pairs stop here.
         cand = np.flatnonzero((det != 0.0) & (u >= 0.0) & (u <= 1.0))
-        s, d, e1, e2 = ([x[cand] for x in vec] for vec in (s, d, e1, e2))
+        at = cand if rows is None else rows[cand]
+        *q, e2q = (x[at] if np.ndim(x) else x for x in (*q, e2q))
         u, inv_det = u[cand], inv_det[cand]
-        q = _cross(s, e1)
-        v = _dot(d, q) * inv_det
-        t = _dot(e2, q) * inv_det
+        v = _dot([x[cand] for x in d], q) * inv_det
+        t = e2q * inv_det
         ok = (v >= 0.0) & (u + v <= 1.0) & (t > T_MIN)
     return cand[ok], t[ok], u[ok], v[ok]
 
@@ -189,43 +195,57 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     if mesh.is_empty:
         raise EmptyScene("cannot intersect an empty mesh")
     w, h = camera.width, camera.height
-    verts, tris = mesh.vertices, mesh.triangles
-    p = camera.world_to_camera(verts)[tris]  # (triangle, corner, axis)
+    # Per-axis rows of per-corner arrays: each vertex is projected once, then gathered.
+    corners = mesh.triangles.T.copy()
+    cam = camera.world_to_camera(mesh.vertices).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        uv = p[..., :2] / p[..., 2:] * (camera.fx, camera.fy) + (camera.cx, camera.cy)
+        uv = cam[:2] / cam[2] * [[camera.fx], [camera.fy]] + [[camera.cx], [camera.cy]]
+    p0, p1, p2 = (cam[:, c] for c in corners)
     # Boxed: every corner in front, and the plane clear of the camera center.
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    plane = np.abs(np.einsum("ij,ij->i", np.cross(e1, e2), p[:, 0]))
-    scale = norm(e1, axis=1) * norm(e2, axis=1) * norm(p, axis=2).max(axis=1)
-    boxed = ((p[:, :, 2].min(axis=1) > CAST_Z_EPS) & (plane > CAST_PLANE_TOL * scale))[:, None]
-    # Inclusive candidate pixel box (u, v) per triangle; every pixel if not boxed.
-    size = np.array([w, h])
-    lo = np.where(boxed, np.ceil(uv.min(axis=1) - CAST_MARGIN_PX), 0).clip(0, size)
-    hi = np.where(boxed, np.floor(uv.max(axis=1) + CAST_MARGIN_PX), size - 1).clip(-1, size - 1)
-    extent = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    count = extent.prod(axis=1)
-    ids = np.flatnonzero(count)
-    (col0, row0), ncols, count = lo[ids].astype(np.int64).T, extent[ids, 0], count[ids]
-    end = np.cumsum(count)
-    start = end - count
-
-    a, b, c = (verts[tris[ids, i]].T.copy() for i in range(3))
-    tri_data = (a, b - a, c - a)
-    d = np.asarray(dirs, dtype=np.float64).T.copy()
-    o = tuple(camera.center)  # the one origin, as scalars
+    e1, e2 = p1 - p0, p2 - p0
+    plane = np.abs(_dot(_cross(e1, e2), p0))
+    scale = _norm(e1) * _norm(e2) * np.maximum(np.maximum(_norm(p0), _norm(p1)), _norm(p2))
+    in_front = np.minimum(np.minimum(p0[2], p1[2]), p2[2]) > CAST_Z_EPS
+    boxed = in_front & (plane > CAST_PLANE_TOL * scale)
+    ids = np.flatnonzero(boxed)
+    # Inclusive candidate pixel box (u, v) of each boxed triangle, clipped to the image.
+    c0, c1, c2 = (uv[:, c] for c in corners[:, ids])
+    size = np.array([[w], [h]])
+    lo = np.ceil(np.minimum(np.minimum(c0, c1), c2) - CAST_MARGIN_PX).clip(0, size)
+    hi = np.floor(np.maximum(np.maximum(c0, c1), c2) + CAST_MARGIN_PX).clip(-1, size - 1)
+    col0, row0 = lo.astype(np.int64)
+    ncols, nrows = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    count = ncols * nrows
+    # Kernel terms of the boxed triangles, then of the whole-image ones.
+    ids = np.concatenate([ids, np.flatnonzero(~boxed)])
+    a, b, c = (mesh.vertices.T[:, k] for k in corners[:, ids])
+    e1, e2 = b - a, c - a
+    s, q, e2q = _origin_terms(camera.center, a, e1, e2)
+    d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
     n = w * h
     best = (np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.zeros(n))
+    # Boxed: fixed blocks of (pixel, triangle) pairs bound the transient memory.
+    end = np.cumsum(count)
+    start = end - count
     total = int(count.sum())
-    # Fixed blocks of (pixel, triangle) pairs bound the transient memory.
     for first in range(0, total, CAST_BLOCK):
-        k = np.arange(first, min(first + CAST_BLOCK, total), dtype=np.int64)
-        j = np.searchsorted(end, k, side="right")
+        last = min(first + CAST_BLOCK, total)
+        j0, j1 = np.searchsorted(end, [first, last - 1], side="right")
+        span = np.minimum(end[j0:j1 + 1], last) - np.maximum(start[j0:j1 + 1], first)
+        j = np.repeat(np.arange(j0, j1 + 1), span)
+        k = np.arange(first, last, dtype=np.int64)
         row, col = np.divmod(k - start[j], ncols[j])
         pix = (row0[j] + row) * w + col0[j] + col
         hit, t, u, v = _moller_trumbore(
-            o, [x[pix] for x in d], *([x[j] for x in vec] for vec in tri_data)
+            [x[pix] for x in d], *([x[j] for x in vec] for vec in (e1, e2, s)), q, e2q, rows=j
         )
         _keep_nearest(best, pix[hit], ids[j[hit]], t, u, v)
+    # Whole-image triangles meet every pixel in order: scalar terms, CAST_BLOCK pixels a call.
+    for i in range(len(count), len(ids)):
+        terms = [[x[i] for x in vec] for vec in (e1, e2, s, q)]
+        for px in range(0, n, CAST_BLOCK):
+            hit, t, u, v = _moller_trumbore([x[px:px + CAST_BLOCK] for x in d], *terms, e2q[i])
+            _keep_nearest(best, px + hit, np.full(len(hit), ids[i]), t, u, v)
     return best
 
 
@@ -297,9 +317,10 @@ def _traverse(bvh: Bvh, boxes, tris, ray_data, rays: np.ndarray, best) -> None:
         if is_leaf.any():
             pair_rays = np.repeat(rays[is_leaf], counts[is_leaf])
             pos = _concat_ranges(bvh.start[nodes[is_leaf]], counts[is_leaf])
+            v0, e1, e2 = ([x[pos] for x in vec] for vec in tris)
             hit, t, u, v = _moller_trumbore(
-                [x[pair_rays] for x in o], [x[pair_rays] for x in d],
-                *([x[pos] for x in vec] for vec in tris),
+                [x[pair_rays] for x in d], e1, e2,
+                *_origin_terms([x[pair_rays] for x in o], v0, e1, e2),
             )
             _keep_nearest(best, pair_rays[hit], bvh.tri_order[pos[hit]], t, u, v)
         inner = nodes[~is_leaf]
@@ -331,10 +352,10 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray):
     for lo in range(0, n_rays, chunk):
         hi = min(lo + chunk, n_rays)
         m = hi - lo
+        v0, e1, e2 = (x[:, : m * n_tris] for x in tiled)
         hit, ht, hu, hv = _moller_trumbore(
-            np.repeat(origins[lo:hi].T, n_tris, axis=1),
-            np.repeat(dirs[lo:hi].T, n_tris, axis=1),
-            *(x[:, : m * n_tris] for x in tiled),
+            np.repeat(dirs[lo:hi].T, n_tris, axis=1), e1, e2,
+            *_origin_terms(np.repeat(origins[lo:hi].T, n_tris, axis=1), v0, e1, e2),
         )
         t, u, v = np.full(m * n_tris, np.inf), np.zeros(m * n_tris), np.zeros(m * n_tris)
         t[hit], u[hit], v[hit] = ht, hu, hv

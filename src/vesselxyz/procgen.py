@@ -25,10 +25,12 @@ from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
 _CAMERA_SALT = 13
-# Caps on the sizes a config may ask for, far above any useful scene.
+# Caps on the sizes and counts a config may ask for, far above any useful scene.
 _MAX_RESOLUTION = 8192
 _MAX_SEGMENTS = 8192
 _MAX_SAMPLES = 2**20
+_MAX_TERMS = 64
+_MAX_RETRIES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,8 @@ _CONFIG_BOUNDS = {
     "profile.min_radius": ((">", 0.0),),
     "profile.poly_degrees": ((">=", 0),),
     "profile.samples": ((">=", 2), ("<=", _MAX_SAMPLES)),
-    "profile.max_retries": ((">=", 1),),
+    "profile.term_count": ((">=", 0), ("<=", _MAX_TERMS)),
+    "profile.max_retries": ((">=", 1), ("<=", _MAX_RETRIES)),
 }
 
 

@@ -12,10 +12,11 @@ Each mesh is cast once into one row of a first-hit table: the ray parameter
 an empty mesh.  A view of several meshes is the ``np.minimum`` of their
 rows, and a pixel is valid where that minimum is finite.  The cast is
 ``bvh.cast_camera_rays``: a triangle is tested only against pixel centers
-inside its projected-corner box widened by 1e-3 px, or against every pixel
-if a corner has camera-frame ``z <= 1e-9`` or its plane passes through the
-camera center.  The boxes hold every pixel the brute-force kernel would
-hit, so depths and masks keep their bits.
+inside its projected-corner box widened by 1e-3 px; one with a corner at
+camera-frame ``z <= 1e-9``, or whose plane passes through the camera
+center, runs over every pixel in order.  The boxes hold every pixel the
+brute-force kernel would hit, with the same kernel inputs, so depths and
+masks keep their bits.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def _first_hit_table(meshes: list, camera: PinholeCamera):
     :func:`camera_rays`'s per-pixel depth factor.
     """
     _, dirs, axial = camera_rays(camera)
+    dirs = np.ascontiguousarray(dirs.T).T  # column-major: the cast reads per-axis rows uncopied
     t = np.full((len(meshes), len(axial)), np.inf)
     for row, mesh in zip(t, meshes):
         if not mesh.is_empty:

@@ -5,7 +5,8 @@ The ray/triangle kernel is checked bit for bit against the ``np.cross`` /
 kernel, so BVH == brute force alone could not catch a changed summation
 order.  The tree is checked for structure and against a recursive build.
 The camera cast is checked against brute force over random pinhole cameras
-and meshes built to hit the edge cases of its candidate-box rule.
+and meshes built to hit the edge cases of its candidate-box rule, and on
+real scenes' ground and opening at full size.
 """
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselxyz import PinholeCamera, TriMesh, build_bvh, intersect_rays, intersect_rays_brute
-from vesselxyz.bvh import CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, cast_camera_rays
+from vesselxyz.bvh import (
+    CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, _origin_terms, cast_camera_rays,
+)
 from vesselxyz.procgen import SceneConfig, assemble_scene
 from vesselxyz.renderer import camera_rays
 
@@ -23,15 +26,35 @@ from conftest import icosphere, oracle_bvh_leaves, oracle_moller_trumbore, rando
 X, Y, Z = np.eye(3)
 
 
-def _kernel_vs_oracle(o, d, v0, e1, e2):
-    """Assert the kernel's hits and their (t, u, v) equal the oracle's bitwise."""
-    rows = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (o, d, v0, e1, e2)]
-    rows = [np.broadcast_to(a, (max(len(r) for r in rows), 3)).copy() for a in rows]
-    t, u, v, hit = oracle_moller_trumbore(*rows)
-    idx, kt, ku, kv = _moller_trumbore(*(np.ascontiguousarray(a.T) for a in rows))
-    np.testing.assert_array_equal(idx, np.flatnonzero(hit))
-    for got, want in ((kt, t), (ku, u), (kv, v)):
-        assert got.tobytes() == want[idx].tobytes()
+def _kernel_vs_oracle(o, d, v0, e1, e2, rows=None):
+    """Assert the kernel's hits and their (t, u, v) equal the oracle's bitwise.
+
+    The kernel gets the triangle terms in each form its callers pass: per
+    pair; as scalars, where one origin and one triangle serve every pair;
+    and per triangle, where ``rows`` names each pair's row of ``v0``,
+    ``e1`` and ``e2`` and one origin serves every pair.
+    """
+    tri = [np.asarray(a, dtype=np.float64) for a in (v0, e1, e2)]
+    pairs = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (o, d)]
+    pairs += [np.atleast_2d(a if rows is None else a[rows]) for a in tri]
+    pairs = [np.broadcast_to(a, (max(len(r) for r in pairs), 3)).copy() for a in pairs]
+    t, u, v, hit = oracle_moller_trumbore(*pairs)
+    po, pd, pv0, pe1, pe2 = (np.ascontiguousarray(a.T) for a in pairs)
+    forms = [(pd, pe1, pe2, *_origin_terms(po, pv0, pe1, pe2))]
+    if rows is not None:
+        assert np.ndim(o) == 1
+        tv0, te1, te2 = (np.ascontiguousarray(a.T) for a in tri)
+        s, q, e2q = _origin_terms(tuple(np.asarray(o, dtype=np.float64)), tv0, te1, te2)
+        forms.append((pd, *([x[rows] for x in vec] for vec in (te1, te2, s)), q, e2q, rows))
+    elif all(np.ndim(a) <= 1 for a in (o, *tri)):
+        so, sv0, se1, se2 = (tuple(np.broadcast_to(np.asarray(a, dtype=np.float64), 3))
+                             for a in (o, *tri))
+        forms.append((pd, se1, se2, *_origin_terms(so, sv0, se1, se2)))
+    for args in forms:
+        idx, kt, ku, kv = _moller_trumbore(*args)
+        np.testing.assert_array_equal(idx, np.flatnonzero(hit))
+        for got, want in ((kt, t), (ku, u), (kv, v)):
+            assert got.tobytes() == want[idx].tobytes()
     return hit
 
 
@@ -56,6 +79,36 @@ class TestKernel:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         hit = _kernel_vs_oracle(target + offset, d, v0, e1, e2)
         assert 0.05 < hit.mean() < 0.5  # both hits and misses are compared
+
+    def _aimed(self, rng, origin, v0, e1, e2):
+        """Unit directions from ``origin`` through points of each triangle's plane
+        near the triangle (barycentrics in [-0.25, 1.25]); the second half anywhere."""
+        n = len(v0)
+        bary = rng.uniform(-0.25, 1.25, (n, 2))
+        d = v0 + bary[:, :1] * e1 + bary[:, 1:] * e2 - origin
+        d[n // 2:] = rng.normal(size=(n - n // 2, 3))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    def test_bitwise_with_one_origin_and_one_triangle(self):
+        # the cast's whole-image form: scalar origin and triangle, 4096 rays each
+        rng = np.random.default_rng(20261019)
+        hits = []
+        for _ in range(40):
+            o, v0, e1, e2 = _spread(rng, 4)
+            d = self._aimed(rng, o, *(np.broadcast_to(x, (4096, 3)) for x in (v0, e1, e2)))
+            hits.append(_kernel_vs_oracle(o, d, v0, e1, e2))
+        assert 0.05 < np.mean(hits) < 0.5
+
+    def test_bitwise_with_one_origin_and_per_triangle_rows(self):
+        # the cast's boxed form: 2000 triangles, each pair reads its triangle's row
+        rng = np.random.default_rng(20261020)
+        n_tris, n = 2000, 60_000
+        o = _spread(rng, 1)[0]
+        v0, e1, e2 = _spread(rng, n_tris), _spread(rng, n_tris), _spread(rng, n_tris)
+        rows = rng.integers(0, n_tris, n)
+        d = self._aimed(rng, o, v0[rows], e1[rows], e2[rows])
+        hit = _kernel_vs_oracle(o, d, v0, e1, e2, rows=rows)
+        assert 0.05 < hit.mean() < 0.5
 
     def test_zero_determinant(self):
         # rays in and above the triangle's plane, parallel to it
@@ -339,3 +392,18 @@ def test_cast_covers_hits_of_planes_through_the_camera_center():
         box = pu[tri[hit]]
         outside += int(np.sum((u < box.min(axis=1) - 0.5) | (u > box.max(axis=1) + 0.5)))
     assert outside > 0
+
+
+@pytest.mark.parametrize("seed", [80, 33, 124])
+def test_cast_equals_brute_force_at_full_size(seed):
+    # At 256x256 a ground triangle of each of these scenes reaches behind
+    # the camera, so it is cast against all 65,536 pixels as a whole-image
+    # triangle; the opening fan's triangles are boxed.
+    scene = assemble_scene(seed, SceneConfig())
+    assert (scene.camera.width, scene.camera.height) == (256, 256)
+    ground = scene.ground_plane.to_mesh()
+    z = scene.camera.world_to_camera(ground.vertices)[ground.triangles][..., 2]
+    assert (z.min(axis=1) <= CAST_Z_EPS).any()
+    for mesh in (ground, scene.opening):
+        _, tri, _, _ = _assert_cast_equals_brute(mesh, scene.camera)
+        assert (tri >= 0).any()

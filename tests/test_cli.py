@@ -161,6 +161,26 @@ class TestGenerate:
         assert (field or "not a JSON document") in err
         assert not (out / manifest_name(1)).exists()
 
+    @pytest.mark.parametrize(
+        "profile, field",
+        [
+            # a base radius at the positivity floor fails every retry
+            ({"base_radius": [0.004, 0.004], "max_retries": 10**19}, "profile.max_retries"),
+            ({"term_count": [1, 10**19]}, "profile.term_count"),
+            ({"term_count": [-3, -1]}, "profile.term_count"),
+        ],
+        ids=["huge-retries", "huge-term-count", "negative-term-count"],
+    )
+    def test_profile_count_caps_fail_fast(self, tmp_path, capsys, profile, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": profile}))
+        start = time.perf_counter()
+        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(field) in err
+
     def test_nonpositive_resolution_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--seeds", "1", "--out", str(tmp_path), "--resolution", "0"])
         assert code == EXIT_USAGE
