@@ -11,8 +11,8 @@ of the camera center gets every pixel, as does one reaching ``z <=
 CAST_Z_EPS``.  These whole-image triangles run over the pixels in
 ``CAST_BLOCK`` slices, with scalar triangle terms and no gathers; the boxed
 triangles' (pixel, triangle) pairs run ``CAST_BLOCK`` at a time.  Either way
-the kernel sees the values a brute-force scan gives it, and hits resolve
-by the same smallest (t, triangle index): (t, tri, u, v) keep their bits.
+the kernel sees the values a brute-force scan gives it, and each pixel keeps
+the smallest ``t`` of its hits, so ``t`` keeps its bits.
 
 ``intersect_rays`` over a ``build_bvh`` tree serves arbitrary rays;
 rendering does not use it.  The build is a level-synchronous median split:
@@ -186,11 +186,11 @@ def _keep_nearest(best, r, tri, t, u, v) -> None:
 
 
 def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
-    """Nearest hit of every pixel-center ray of ``camera`` on ``mesh``.
+    """Nearest-hit ``t`` of every pixel-center ray of ``camera`` on ``mesh``.
 
     ``dirs`` are the rays' unit world directions, row-major, as
-    ``renderer.camera_rays`` makes them.  Returns (t, tri, u, v) with the
-    bits :func:`intersect_rays` gives for those rays.
+    ``renderer.camera_rays`` makes them.  Returns the ``(H*W,)`` ``t`` that
+    :func:`intersect_rays` gives for those rays, bit for bit; ``+inf`` on a miss.
     """
     if mesh.is_empty:
         raise EmptyScene("cannot intersect an empty mesh")
@@ -222,8 +222,7 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     e1, e2 = b - a, c - a
     s, q, e2q = _origin_terms(camera.center, a, e1, e2)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
-    n = w * h
-    best = (np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.zeros(n))
+    best = np.full(w * h, np.inf)
     # Boxed: fixed blocks of (pixel, triangle) pairs bound the transient memory.
     end = np.cumsum(count)
     start = end - count
@@ -236,16 +235,16 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
         k = np.arange(first, last, dtype=np.int64)
         row, col = np.divmod(k - start[j], ncols[j])
         pix = (row0[j] + row) * w + col0[j] + col
-        hit, t, u, v = _moller_trumbore(
+        hit, t, _, _ = _moller_trumbore(
             [x[pix] for x in d], *([x[j] for x in vec] for vec in (e1, e2, s)), q, e2q, rows=j
         )
-        _keep_nearest(best, pix[hit], ids[j[hit]], t, u, v)
+        np.minimum.at(best, pix[hit], t)
     # Whole-image triangles meet every pixel in order: scalar terms, CAST_BLOCK pixels a call.
     for i in range(len(count), len(ids)):
         terms = [[x[i] for x in vec] for vec in (e1, e2, s, q)]
-        for px in range(0, n, CAST_BLOCK):
-            hit, t, u, v = _moller_trumbore([x[px:px + CAST_BLOCK] for x in d], *terms, e2q[i])
-            _keep_nearest(best, px + hit, np.full(len(hit), ids[i]), t, u, v)
+        for px in range(0, len(best), CAST_BLOCK):
+            hit, t, _, _ = _moller_trumbore([x[px:px + CAST_BLOCK] for x in d], *terms, e2q[i])
+            np.minimum.at(best, px + hit, t)
     return best
 
 

@@ -198,14 +198,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    pred = read_xyz_pfm(args.pred)
-    gt = read_xyz_pfm(args.gt)
-    mask = read_pgm(args.mask)
-    pairs = build_pair_set(valid_region(mask, pred, gt), args.dilations)
-    if args.kind == "translation_invariant":
-        report = translation_invariant_loss(pred, gt, pairs)
-    else:
-        report = scale_invariant_loss(pred, gt, pairs)
+    pred, gt, mask = read_xyz_pfm(args.pred), read_xyz_pfm(args.gt), read_pgm(args.mask)
+    loss = {"translation_invariant": translation_invariant_loss,
+            "scale_invariant": scale_invariant_loss}[args.kind]
+    try:
+        report = loss(pred, gt, build_pair_set(valid_region(mask, pred, gt), args.dilations))
+    except VesselXyzError as e:  # the inputs give no loss: name them
+        raise VesselXyzError(f"{args.pred}, {args.gt}, {args.mask}: {e}") from e
     k = report.k_used.k if report.k_used else None
     print(f"kind: {args.kind}")
     print(f"value: {report.value!r}")

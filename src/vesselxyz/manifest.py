@@ -82,14 +82,14 @@ def _fraction(value) -> float:
 
 
 def _files(value) -> dict:
-    files = dict(value)
-    bad = [
-        key for key in (f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask"))
-        if not isinstance(files.get(key), str)
-    ]
-    if bad:
-        raise InvalidValue(f"no file name for {', '.join(bad)}")
-    return files
+    if not isinstance(value, dict):
+        raise InvalidValue(f"expected a JSON object, got {type(value).__name__}")
+    # Every role's xyz and mask, then every entry: a bare name keeps eval inside --gt and --pred.
+    for key in (*(f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask")), *value):
+        name = value.get(key)
+        if type(name) is not str or not name.strip(".") or Path(name).name != name or "\0" in name:
+            raise InvalidValue(f"{key}: no bare file name, got {name!r}")
+    return dict(value)
 
 
 # The manifest's fields in file order, each as (name, to JSON, checked from JSON).

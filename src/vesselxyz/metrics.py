@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGT, DimensionMismatch, EmptySet, TooFewPoints
+from .errors import DegenerateGT, DimensionMismatch, EmptySet, InvalidValue, TooFewPoints
 from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
 from .losses import scale_factor
 
@@ -160,6 +160,8 @@ def chamfer(pred_points: np.ndarray, gt_points: np.ndarray) -> float:
     g = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
     if len(p) == 0 or len(g) == 0:
         raise EmptySet("chamfer needs two nonempty point sets")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(g))):
+        raise InvalidValue("chamfer needs finite points")
     return float(np.mean(_nearest(p, g)) + np.mean(_nearest(g, p)))
 
 
@@ -175,11 +177,9 @@ class SimilarityTransform:
     k: float
     t: np.ndarray
 
-    def apply(self, m: XyzMap, target_mask: SegMask) -> XyzMap:
-        """Transformed copy of ``m``, valid only on the target pixels."""
-        coords = np.empty_like(m.coords)  # XyzMap fills the pixels left unset
-        coords[target_mask.values] = self.k * masked_points(m, target_mask) + self.t
-        return XyzMap(coords, target_mask.values)
+    def apply(self, m: XyzMap, target_mask: SegMask) -> np.ndarray:
+        """(N, 3) transformed points of ``m`` on the target pixels, in mask order."""
+        return self.k * masked_points(m, target_mask) + self.t
 
 
 def similarity_from_region(
@@ -236,9 +236,11 @@ def material_mae(pred: MaterialVector, gt: MaterialVector) -> MaterialErrors:
     )
 
 
-def evaluate_xyz(pred: XyzMap, gt: XyzMap, mask: SegMask) -> EvalReport:
-    """Full metric bundle for one object: MAE, MAD, MaxDst, Chamfer, R^2."""
-    p, g = masked_points(pred, mask), masked_points(gt, mask)
+def evaluate_xyz(pred_points: np.ndarray, gt: XyzMap, mask: SegMask) -> EvalReport:
+    """MAE, MAD, MaxDst, Chamfer and R^2 of an object's predicted points, in mask order."""
+    if np.shape(pred_points) != (mask.count, 3):
+        raise DimensionMismatch(f"{np.shape(pred_points)} points vs {mask.count} mask pixels")
+    p, g = pred_points, masked_points(gt, mask)
     err, spread = _mae(p, g), _mad(g)
     diameter = max_dst(gt, mask)  # by its public name, where perfbench times it
     cd = chamfer(p, g)

@@ -15,8 +15,8 @@ rows, and a pixel is valid where that minimum is finite.  The cast is
 inside its projected-corner box widened by 1e-3 px; one with a corner at
 camera-frame ``z <= 1e-9``, or whose plane passes through the camera
 center, runs over every pixel in order.  The boxes hold every pixel the
-brute-force kernel would hit, with the same kernel inputs, so depths and
-masks keep their bits.
+brute-force kernel would hit, with the same kernel inputs, so the cast's
+``t`` keeps its bits, and so do depths and masks.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _first_hit_table(meshes: list, camera: PinholeCamera):
     t = np.full((len(meshes), len(axial)), np.inf)
     for row, mesh in zip(t, meshes):
         if not mesh.is_empty:
-            row[:] = cast_camera_rays(mesh, camera, dirs)[0]
+            row[:] = cast_camera_rays(mesh, camera, dirs)
     return t, axial
 
 

@@ -58,6 +58,10 @@ def test_traced_eval_reaches_hooked_calls(spans, gt, mode, span):
         tracer.uninstall()
     names = {s[0] for s in tracer.spans}
     assert {"evaluation", "manifest.load", "formats.read", span} <= names
+    if mode != "segmentation":
+        # the alignment and the diameter must run under their hooked names,
+        # or their per-layer times read 0
+        assert {"metrics.align", "metrics.max_dst"} <= names
     assert tracer.counters["formats.bytes_read"] > 0
 
 

@@ -350,11 +350,12 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
 
 
 def _assert_cast_equals_brute(mesh: TriMesh, cam: PinholeCamera):
+    """The cast's t is the brute force's, bit for bit; returns the brute force's (t, tri, u, v)."""
     origins, dirs, _ = camera_rays(cam)
     got = cast_camera_rays(mesh, cam, dirs)
     want = intersect_rays_brute(mesh, origins, dirs)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got.shape == (cam.width * cam.height,)
+    assert got.dtype == want[0].dtype and got.tobytes() == want[0].tobytes()
     return want
 
 

@@ -493,6 +493,40 @@ class TestEval:
         assert str(path) in err
         assert keys[-1] in err
 
+    @pytest.mark.parametrize("name", [
+        "../outside/1_vessel_xyz.pfm", "/abs/1_vessel_xyz.pfm", "sub/1_vessel_xyz.pfm", "..", "",
+        "1_vessel\0xyz.pfm", 7,
+    ])
+    def test_manifest_file_names_must_be_bare(self, gt_batch, tmp_path, capsys, name):
+        # a path in "files" would make eval read outside --gt and --pred
+        gt = tmp_path / "gt"
+        shutil.copytree(gt_batch, gt)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        shutil.copy(gt / "1_vessel_xyz.pfm", outside)
+        shutil.copy(gt / "1_vessel_xyz.valid.pgm", outside)
+        path = gt / manifest_name(1)
+        doc = json.loads(path.read_text())
+        doc["files"]["vessel_xyz"] = name
+        path.write_text(json.dumps(doc))
+        code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "content-scale"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "field 'files': vessel_xyz" in err
+
+    def test_manifest_files_must_be_an_object(self, gt_batch, tmp_path, capsys):
+        # dict() would take a list of [key, name] pairs
+        gt = tmp_path / "gt"
+        shutil.copytree(gt_batch, gt)
+        path = gt / manifest_name(1)
+        doc = json.loads(path.read_text())
+        doc["files"] = [[key, name] for key, name in doc["files"].items()]
+        path.write_text(json.dumps(doc))
+        code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "content-scale"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "field 'files': expected a JSON object" in err
+
     def test_stray_manifest_name_is_data_error(self, gt_batch, tmp_path, capsys):
         gt = tmp_path / "gt"
         shutil.copytree(gt_batch, gt)
@@ -622,6 +656,27 @@ class TestLoss:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("case, message", [
+        ("constant-prediction", "only 0 sign-consistent pair entries, need at least 8"),
+        ("empty-mask", "cannot build pairs over an empty mask"),
+        ("small-mask", "map 64x64 vs mask 5x5"),
+    ], ids=["constant-prediction", "empty-mask", "small-mask"])
+    def test_unscorable_inputs_name_their_files(self, gt_batch, tmp_path, capsys, case, message):
+        gt = read_xyz_pfm(gt_batch / "1_vessel_xyz.pfm")
+        pred, mask = gt_batch / "1_vessel_xyz.pfm", gt_batch / "1_vessel_mask.pgm"
+        if case == "constant-prediction":
+            pred = tmp_path / "pred.pfm"
+            write_pfm(pred, vesselxyz.XyzMap(np.full_like(gt.coords, 0.5), gt.valid))
+        else:
+            mask = tmp_path / "mask.pgm"
+            size = 64 if case == "empty-mask" else 5
+            write_pgm(mask, vesselxyz.SegMask(np.full((size, size), case == "small-mask")))
+        code = main(["loss", "--pred", str(pred), "--gt", str(gt_batch / "1_vessel_xyz.pfm"),
+                     "--mask", str(mask), "--kind", "scale_invariant"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{pred}, {gt_batch / '1_vessel_xyz.pfm'}, {mask}: {message}" in err
 
 
 class TestCleanDepth:

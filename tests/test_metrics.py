@@ -14,6 +14,7 @@ from vesselxyz import (
     EmptyMask,
     EmptySet,
     InvalidEndpoint,
+    InvalidValue,
     MaterialVector,
     SegMask,
     TooFewPoints,
@@ -24,6 +25,7 @@ from vesselxyz import (
     mad,
     mae_points,
     material_mae,
+    masked_points,
     max_dst,
     r_squared,
     seg_eval,
@@ -350,15 +352,16 @@ class TestAlignPrediction:
         for s in (0.3, 1.0, 4.0):
             pred = XyzMap(s * gt.coords + np.array([0.5, -1.0, 2.0]), gt.valid)
             aligned = similarity_from_region(pred, gt, mask).apply(pred, mask)
-            assert mae_points(aligned, gt, mask) < 1e-9
-            assert r_squared(aligned, gt, mask) == pytest.approx(1.0, abs=1e-9)
+            report = evaluate_xyz(aligned, gt, mask)
+            assert report.mae < 1e-9
+            assert report.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_unchanged(self):
         rng = np.random.default_rng(15)
         gt = random_xyz(rng, 8, 8)
         mask = full_mask(8, 8)
         aligned = similarity_from_region(gt, gt, mask).apply(gt, mask)
-        assert mae_points(aligned, gt, mask) == 0.0
+        assert evaluate_xyz(aligned, gt, mask).mae == 0.0
 
     def test_vessel_reference_keeps_content_offset(self):
         # two disjoint regions in one map: "vessel" left, "content" right.
@@ -377,11 +380,11 @@ class TestAlignPrediction:
 
         vessel, content = SegMask(vessel), SegMask(content)
         by_vessel = similarity_from_region(pred, gt, vessel).apply(pred, content)
-        err_vessel = mae_points(by_vessel, gt, content)
+        err_vessel = evaluate_xyz(by_vessel, gt, content).mae
         assert err_vessel == pytest.approx(np.linalg.norm(delta), rel=1e-9)
 
         by_content = similarity_from_region(pred, gt, content).apply(pred, content)
-        err_content = mae_points(by_content, gt, content)
+        err_content = evaluate_xyz(by_content, gt, content).mae
         assert err_content < 1e-9
 
     def test_transform_reusable_across_maps(self):
@@ -393,7 +396,27 @@ class TestAlignPrediction:
         assert transform.k == pytest.approx(0.5, rel=1e-12)
         other = XyzMap(2.0 * gt.coords + 0.25, gt.valid)
         aligned = transform.apply(other, mask)
-        assert mae_points(aligned, gt, mask) < 1e-12
+        assert evaluate_xyz(aligned, gt, mask).mae < 1e-12
+
+    def test_apply_gives_the_transformed_masked_points(self):
+        rng = np.random.default_rng(24)
+        gt = random_xyz(rng, 9, 7)
+        pred = XyzMap(1.7 * gt.coords - 0.3, gt.valid)
+        transform = similarity_from_region(pred, gt, full_mask(9, 7))
+        mask = random_mask(rng, 9, 7)
+        aligned = transform.apply(pred, mask)
+        want = transform.k * masked_points(pred, mask) + transform.t
+        assert aligned.shape == (mask.count, 3)
+        assert aligned.dtype == want.dtype and aligned.tobytes() == want.tobytes()
+
+    def test_apply_rejects_an_invalid_target_pixel(self):
+        rng = np.random.default_rng(25)
+        gt = random_xyz(rng, 6, 6)
+        transform = similarity_from_region(gt, gt, full_mask(6, 6))
+        holed = gt.valid.copy()
+        holed[2, 3] = False
+        with pytest.raises(InvalidEndpoint):
+            transform.apply(XyzMap(gt.coords, holed), full_mask(6, 6))
 
 
 class TestSegEval:
@@ -492,7 +515,7 @@ class TestEvaluateXyz:
         rng = np.random.default_rng(21)
         gt = random_xyz(rng, 8, 8)
         mask = full_mask(8, 8)
-        rep = evaluate_xyz(gt, gt, mask)
+        rep = evaluate_xyz(masked_points(gt, mask), gt, mask)
         assert rep.mae == 0.0
         assert rep.chamfer == 0.0
         assert rep.r_squared == 1.0
@@ -504,7 +527,7 @@ class TestEvaluateXyz:
         gt = random_xyz(rng, 8, 8)
         pred = random_xyz(rng, 8, 8)
         mask = full_mask(8, 8)
-        rep = evaluate_xyz(pred, gt, mask)
+        rep = evaluate_xyz(masked_points(pred, mask), gt, mask)
         assert rep.mae_over_mad == rep.mae / rep.mad
         assert rep.chamfer_over_maxdst == rep.chamfer / rep.max_dst
         assert rep.r_squared <= 1.0
@@ -554,6 +577,29 @@ EVALUATE_XYZ_ERRORS = {
 
 @pytest.mark.parametrize("name", EVALUATE_XYZ_ERRORS)
 def test_evaluate_xyz_error_contract(name):
+    pred, gt, mask = _error_case(name)
     with pytest.raises(VesselXyzError) as info:
-        evaluate_xyz(*_error_case(name))
+        evaluate_xyz(masked_points(pred, mask), gt, mask)
     assert type(info.value) is EVALUATE_XYZ_ERRORS[name]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (15, 3), (17, 3), (16, 2)])
+def test_evaluate_xyz_needs_one_point_per_mask_pixel(shape):
+    # a single row would broadcast against the 16 GT points without the check
+    rng = np.random.default_rng(26)
+    gt = random_xyz(rng, 4, 4)
+    with pytest.raises(DimensionMismatch):
+        evaluate_xyz(rng.uniform(-1, 1, shape), gt, full_mask(4, 4))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_points_are_rejected(bad):
+    # an alignment that overflows gives such points; the KD-tree would raise a ValueError
+    rng = np.random.default_rng(27)
+    gt = random_xyz(rng, 4, 4)
+    points = masked_points(gt, full_mask(4, 4))
+    points[5, 1] = bad
+    with pytest.raises(InvalidValue):
+        evaluate_xyz(points, gt, full_mask(4, 4))
+    with pytest.raises(InvalidValue):
+        chamfer(masked_points(gt, full_mask(4, 4)), points)

@@ -284,7 +284,7 @@ def test_render_scene_matches_brute_force_cast(monkeypatch, seed):
 
     def brute_cast(mesh, camera, dirs):
         cast.append(mesh.label)
-        return intersect_rays_brute(mesh, np.broadcast_to(camera.center, dirs.shape), dirs)
+        return intersect_rays_brute(mesh, np.broadcast_to(camera.center, dirs.shape), dirs)[0]
 
     monkeypatch.setattr(renderer, "cast_camera_rays", brute_cast)
     slow = render_scene(scene)
