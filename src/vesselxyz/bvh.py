@@ -1,16 +1,19 @@
 """Ray/triangle intersection: a binned camera-ray cast, and a BVH.
 
 ``cast_camera_rays`` is the renderer's cast.  Every camera ray runs from
-the camera center through a pixel center, so a triangle with every corner
-at camera-frame ``z > CAST_Z_EPS`` can be hit only through pixel centers in
-the box of its projected corners, widened by ``CAST_MARGIN_PX`` against
-rounding.  The kernel's own error is ~``eps * f`` px unless its
-determinant is pure rounding, which happens only for rays in the triangle's
+the camera center through a pixel center.  A triangle with every corner at
+camera-frame ``z > CAST_Z_EPS`` is cast over per-row spans: for pixel row
+``v``, the projected triangle is clipped to the slab ``[v - m, v + m]``,
+``m = CAST_MARGIN_PX``, and the span is the slab's x-extent widened by
+``m``.  A hit at pixel P puts P within the kernel's error δ ≪ m of a point
+Q of the triangle, so Q lies in P's row slab and P within δ of its x-extent.
+δ is ~``eps * f`` px (the extent itself rounds by ulps of the corners' u)
+unless the determinant is pure rounding, as for rays in the triangle's
 plane; so a triangle whose plane passes within a relative ``CAST_PLANE_TOL``
 of the camera center gets every pixel, as does one reaching ``z <=
 CAST_Z_EPS``.  These whole-image triangles run over the pixels in
-``CAST_BLOCK`` slices, with scalar triangle terms and no gathers; the boxed
-triangles' (pixel, triangle) pairs run ``CAST_BLOCK`` at a time.  Either way
+``CAST_BLOCK`` slices, with scalar triangle terms and no gathers; the
+spans' (pixel, triangle) pairs run ``CAST_BLOCK`` at a time.  Either way
 the kernel sees the values a brute-force scan gives it, and each pixel keeps
 the smallest ``t`` of its hits, so ``t`` keeps its bits.
 
@@ -44,8 +47,8 @@ from .geometry import PinholeCamera, TriMesh, _frozen
 LEAF_SIZE = 8
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
 RAY_BLOCK = 8192  # rays per traversal wavefront
-CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be boxed
-CAST_MARGIN_PX = 1e-3  # widens each projected box against rounding
+CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be spanned
+CAST_MARGIN_PX = 1e-3  # half-height of a row's slab, and the widening of its span
 CAST_PLANE_TOL = 1e-10  # relative plane distance below which rays in the plane hit anywhere
 CAST_BLOCK = 8192  # (pixel, triangle) pairs per kernel call of the camera cast
 BRUTE_PAIRS = 65536  # (ray, triangle) pairs per chunk of the brute-force scan
@@ -200,47 +203,63 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     cam = camera.world_to_camera(mesh.vertices).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = cam[:2] / cam[2] * [[camera.fx], [camera.fy]] + [[camera.cx], [camera.cy]]
-    p0, p1, p2 = (cam[:, c] for c in corners)
-    # Boxed: every corner in front, and the plane clear of the camera center.
+    p0, p1, p2 = (np.take(cam, c, axis=1) for c in corners)
+    # Spanned: every corner in front, and the plane clear of the camera center.
     e1, e2 = p1 - p0, p2 - p0
     plane = np.abs(_dot(_cross(e1, e2), p0))
     scale = _norm(e1) * _norm(e2) * np.maximum(np.maximum(_norm(p0), _norm(p1)), _norm(p2))
     in_front = np.minimum(np.minimum(p0[2], p1[2]), p2[2]) > CAST_Z_EPS
-    boxed = in_front & (plane > CAST_PLANE_TOL * scale)
-    ids = np.flatnonzero(boxed)
-    # Inclusive candidate pixel box (u, v) of each boxed triangle, clipped to the image.
-    c0, c1, c2 = (uv[:, c] for c in corners[:, ids])
-    size = np.array([[w], [h]])
-    lo = np.ceil(np.minimum(np.minimum(c0, c1), c2) - CAST_MARGIN_PX).clip(0, size)
-    hi = np.floor(np.maximum(np.maximum(c0, c1), c2) + CAST_MARGIN_PX).clip(-1, size - 1)
-    col0, row0 = lo.astype(np.int64)
-    ncols, nrows = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    count = ncols * nrows
-    # Kernel terms of the boxed triangles, then of the whole-image ones.
-    ids = np.concatenate([ids, np.flatnonzero(~boxed)])
-    a, b, c = (mesh.vertices.T[:, k] for k in corners[:, ids])
+    spanned = in_front & (plane > CAST_PLANE_TOL * scale)
+    ids = np.flatnonzero(spanned)
+    # Per row, a segment: the triangle clipped to the row's slab, bounded by the
+    # edges a-c and a-b-c (corners sorted by v).  Points go along an edge from the
+    # nearer corner, and a non-finite slope reads 0, so a corner keeps its own u.
+    u, v = np.take(uv, np.take(corners, ids, axis=1), axis=1)
+    for i, j in ((0, 1), (1, 2), (0, 1)):  # a sorting network
+        swap = v[j] < v[i]
+        for x in (u, v):
+            x[i], x[j] = np.where(swap, x[j], x[i]), np.where(swap, x[i], x[j])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = np.divide(*(x[[2, 1, 2]] - x[[0, 0, 1]] for x in (u, v)))  # a-c, a-b, b-c
+    slope[~np.isfinite(slope)] = 0.0
+    m = CAST_MARGIN_PX
+    row0 = np.ceil(v[0] - m).clip(0, h)
+    nrows = np.maximum(np.floor(v[2] + m).clip(-1, h - 1) - row0 + 1, 0).astype(np.int64)
+    seg = np.repeat(np.arange(len(ids)), nrows)
+    row = np.arange(len(seg)) + (row0 - np.cumsum(nrows) + nrows)[seg]
+    ua, ub, uc, va, vb, vc, kac, kab, kbc = (x[seg] for x in (*u, *v, *slope))
+    y0, y1 = np.maximum(va, row - m), np.minimum(vc, row + m)
+    x0 = ua + (y0 - va) * kac
+    xs = (x0, uc + (y1 - vc) * kac, np.where((y0 < vb) & (vb < y1), ub, x0),
+          np.where(y0 < vb, ua + (y0 - va) * kab, ub + (y0 - vb) * kbc),
+          np.where(y1 > vb, uc + (y1 - vc) * kbc, ub + (y1 - vb) * kab))
+    lo = np.ceil(np.minimum.reduce(xs) - m).clip(0, w)
+    hi = np.floor(np.maximum.reduce(xs) + m).clip(-1, w - 1)
+    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    # Kernel terms of every triangle.
+    a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in corners)
     e1, e2 = b - a, c - a
     s, q, e2q = _origin_terms(camera.center, a, e1, e2)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
     best = np.full(w * h, np.inf)
-    # Boxed: fixed blocks of (pixel, triangle) pairs bound the transient memory.
+    # Spans: fixed blocks of (pixel, triangle) pairs bound the transient memory;
+    # the k-th pair overall, in segment s, is pixel k + base[s].
     end = np.cumsum(count)
     start = end - count
+    base = (row * w + lo).astype(np.int64) - start
     total = int(count.sum())
     for first in range(0, total, CAST_BLOCK):
         last = min(first + CAST_BLOCK, total)
         j0, j1 = np.searchsorted(end, [first, last - 1], side="right")
         span = np.minimum(end[j0:j1 + 1], last) - np.maximum(start[j0:j1 + 1], first)
-        j = np.repeat(np.arange(j0, j1 + 1), span)
-        k = np.arange(first, last, dtype=np.int64)
-        row, col = np.divmod(k - start[j], ncols[j])
-        pix = (row0[j] + row) * w + col0[j] + col
+        j = np.repeat(ids[seg[j0:j1 + 1]], span)
+        pix = np.arange(first, last) + np.repeat(base[j0:j1 + 1], span)
         hit, t, _, _ = _moller_trumbore(
             [x[pix] for x in d], *([x[j] for x in vec] for vec in (e1, e2, s)), q, e2q, rows=j
         )
         np.minimum.at(best, pix[hit], t)
     # Whole-image triangles meet every pixel in order: scalar terms, CAST_BLOCK pixels a call.
-    for i in range(len(count), len(ids)):
+    for i in np.flatnonzero(~spanned):
         terms = [[x[i] for x in vec] for vec in (e1, e2, s, q)]
         for px in range(0, len(best), CAST_BLOCK):
             hit, t, _, _ = _moller_trumbore([x[px:px + CAST_BLOCK] for x in d], *terms, e2q[i])

@@ -17,9 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    DimensionMismatch, GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError,
-)
+from .errors import GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
 from .geometry import PinholeCamera, build_pair_set, checked_dilations, valid_region
@@ -228,9 +226,9 @@ def _cmd_clean_depth(args) -> int:
         raise _UsageError("clean-depth needs --manifest or all of --fx/--fy/--cx/--cy")
     try:
         cleaned = clean_depth(depth, camera, mask, max_offset=args.max_offset)
-    except DimensionMismatch as e:
+    except VesselXyzError as e:  # the inputs give no cleaned map: name them
         files = ", ".join(filter(None, (args.depth, args.mask, args.manifest)))
-        raise DimensionMismatch(f"{files}: {e}") from e
+        raise VesselXyzError(f"{files}: {e}") from e
     write_pfm(args.out, cleaned)
     removed = int(depth.valid.sum() - cleaned.valid.sum())
     print(f"removed {removed} pixels; wrote {args.out}")

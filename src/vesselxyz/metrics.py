@@ -4,7 +4,8 @@ All 3D metrics operate on the per-pixel point sets selected by an object
 mask.  Errors are reported in meters and, because absolute scale is
 arbitrary for camera-agnostic predictions, normalized by two GT-side
 size measures: MAD (mean distance to the object centroid) and MaxDst
-(the exact point-set diameter).
+(the exact point-set diameter).  Chamfer alone uses scipy, so it imports
+``scipy.spatial`` on its first call: a process that runs none never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGT, DimensionMismatch, EmptySet, InvalidValue, TooFewPoints
 from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
@@ -166,6 +166,7 @@ def chamfer(pred_points: np.ndarray, gt_points: np.ndarray) -> float:
 
 
 def _nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    from scipy.spatial import cKDTree
     tree = cKDTree(points, leafsize=_CHAMFER_LEAF, balanced_tree=False, compact_nodes=False)
     return tree.query(queries)[0]
 

@@ -5,7 +5,7 @@ The ray/triangle kernel is checked bit for bit against the ``np.cross`` /
 kernel, so BVH == brute force alone could not catch a changed summation
 order.  The tree is checked for structure and against a recursive build.
 The camera cast is checked against brute force over random pinhole cameras
-and meshes built to hit the edge cases of its candidate-box rule, and on
+and meshes built to hit the edge cases of its per-row span rule, and on
 real scenes' ground and opening at full size.
 """
 
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from vesselxyz import PinholeCamera, TriMesh, build_bvh, intersect_rays, intersect_rays_brute
 from vesselxyz.bvh import (
-    CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, _origin_terms, cast_camera_rays,
+    CAST_MARGIN_PX, CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, _origin_terms,
+    cast_camera_rays,
 )
 from vesselxyz.procgen import SceneConfig, assemble_scene
 from vesselxyz.renderer import camera_rays
@@ -258,7 +259,10 @@ def test_bvh_equals_brute_force_on_random_meshes(seed, n_tris):
 
 # ── binned camera cast ───────────────────────────────────────────────────
 
-CAST_KINDS = ("pixel", "random", "tiny", "behind", "straddle", "grazing", "along_ray", "strip")
+CAST_KINDS = (
+    "pixel", "random", "tiny", "behind", "straddle", "grazing", "along_ray", "strip",
+    "row", "flat", "between", "image_edge",
+)
 
 
 def _cast_camera(rng) -> PinholeCamera:
@@ -288,10 +292,15 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
     behind: every corner at z < 0; straddle: corners at z = 0, +-eps, ...;
     grazing: planes through, or within 1e-15..1e-6 of, the camera center;
     along_ray: an edge on a pixel-center ray; strip: a grid of corners on
-    pixel-center rays, two triangles per cell sharing edges.  Returns None
-    when every triangle came out degenerate.
+    pixel-center rays, two triangles per cell sharing edges; row: corners on
+    a pixel-center row or ``CAST_MARGIN_PX`` off one; flat: a horizontal or
+    near-horizontal edge on a row; between: a sub-pixel triangle between two
+    rows, some within a margin of one; image_edge: corners on, just inside
+    and just outside the image border.  Returns None when every triangle came
+    out degenerate.
     """
     w, h = cam.width, cam.height
+    m = CAST_MARGIN_PX
 
     def at(u, v, z):  # camera-frame points at depth z on the rays through (u, v)
         return np.stack([z * (u - cam.cx) / cam.fx, z * (v - cam.cy) / cam.fy, z], -1)
@@ -326,6 +335,23 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
             u, v = rng.integers(0, w), rng.integers(0, h)
             other = at(rng.integers(-2, w + 2), rng.integers(-2, h + 2), depth(1))
             c = np.vstack([at(u, v, depth(2)), other])
+        elif kind == "row":
+            v = rng.integers(-1, h + 1, 3) + rng.choice([0.0, -m, m], 3)
+            c = at(rng.integers(-2, w + 2, 3) + rng.choice([0.0, 0.5, -m, m], 3), v, depth(3))
+        elif kind == "flat":
+            dv = rng.choice([0.0, 0.0, 1e-15, -1e-12, 1e-9, -m / 2, 2 * m])
+            v = rng.integers(0, h) + np.array([0.0, dv, rng.uniform(-h, h)])
+            c = at(rng.uniform(-2, w + 1, 3), v, depth(3))
+        elif kind == "between":
+            r, size = rng.integers(-1, h), 10.0 ** rng.uniform(-4, 0)
+            lo = r + rng.choice([m / 2, 2 * m, rng.uniform(0, 1 - size)])
+            u = rng.integers(0, w) + rng.uniform(-0.5, 0.5) + 4 * size * rng.uniform(-1, 1, 3)
+            c = at(u, np.minimum(lo + size * rng.uniform(0, 1, 3), r + 1 - m / 2), depth(3))
+        elif kind == "image_edge":
+            u, v = (np.where(rng.random(3) < 0.6,
+                             rng.choice([-1.0, -m, 0.0, m, n - 1 - m, n - 1, n - 1 + m, n], 3),
+                             rng.uniform(0, n, 3)) for n in (w, h))
+            c = at(u, v, depth(3))
         else:
             continue
         corners.append(c)

@@ -711,6 +711,18 @@ class TestCleanDepth:
         )
         assert code == EXIT_DATA
 
+    def test_empty_mask_names_the_files(self, gt_batch, tmp_path, capsys):
+        mask = tmp_path / "empty.pgm"
+        write_pgm(mask, vesselxyz.SegMask(np.zeros((64, 64), bool)))
+        depth = gt_batch / "1_vessel_depth.pfm"
+        code = main(["clean-depth", "--depth", str(depth), "--mask", str(mask),
+                     "--manifest", str(gt_batch / manifest_name(1)),
+                     "--out", str(tmp_path / "x.pfm")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{depth}, {mask}, {gt_batch / manifest_name(1)}: " in err
+        assert "mask selects no pixel" in err
+
     def test_camera_of_another_size_names_the_files(self, gt_batch, tmp_path, capsys):
         manifest = tmp_path / manifest_name(1)
         doc = json.loads((gt_batch / manifest_name(1)).read_text())

@@ -1,9 +1,18 @@
-"""Module layering: every package-relative import points down the module DAG."""
+"""Module layering: imports point down the module DAG, and scipy loads only for Chamfer."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import vesselxyz
+
+from conftest import oracle_chamfer
 
 # Each module's direct dependencies; a module may import anything these
 # reach.  The data model sits at the bottom with three pipelines above it:
@@ -58,3 +67,32 @@ def test_imports_point_down_the_dag():
         if target not in _below(path.stem)
     ]
     assert not upward
+
+
+# scipy serves only metrics.chamfer, which imports it on its first call.
+def _fresh_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout
+
+
+def test_importing_the_package_or_cli_loads_no_scipy():
+    code = "import sys, vesselxyz, vesselxyz.cli; print([m for m in sys.modules if 'scipy' in m])"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_generate_loads_no_scipy_and_chamfer_loads_it(tmp_path):
+    code = f"""
+import json, sys
+import numpy as np
+from vesselxyz.cli import main
+from vesselxyz.metrics import chamfer
+assert main(["generate", "--seeds", "1", "--resolution", "32", "--out", {str(tmp_path)!r}]) == 0
+before = "scipy" in sys.modules
+a, b = np.random.default_rng(5).normal(size=(2, 40, 3))
+print(json.dumps([before, chamfer(a, b), "scipy.spatial" in sys.modules, a.tolist(), b.tolist()]))
+"""
+    before, value, after, a, b = json.loads(_fresh_python(code).splitlines()[-1])
+    assert (before, after) == (False, True)
+    assert value == pytest.approx(oracle_chamfer(np.array(a), np.array(b)), abs=1e-12)
