@@ -31,7 +31,8 @@ sums each dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
 ``einsum("ij,ij->i")`` does, so its bits are the ``np.cross``/``einsum``
 form's.  ``s = o - v0``, ``q = s x e1`` and ``e2 . q`` hold no ray
 direction: the cast computes them once per triangle for its one origin,
-the brute force and the BVH per pair.  Only pairs with ``det != 0`` and
+the brute force and the BVH per pair.  ``e2 . q = (e1 x e2) . s`` also
+serves as the cast's plane test.  Only pairs with ``det != 0`` and
 ``0 <= u <= 1`` go on to ``v`` and ``t``.
 """
 
@@ -191,9 +192,10 @@ def _keep_nearest(best, r, tri, t, u, v) -> None:
 def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     """Nearest-hit ``t`` of every pixel-center ray of ``camera`` on ``mesh``.
 
-    ``dirs`` are the rays' unit world directions, row-major, as
-    ``renderer.camera_rays`` makes them.  Returns the ``(H*W,)`` ``t`` that
-    :func:`intersect_rays` gives for those rays, bit for bit; ``+inf`` on a miss.
+    ``dirs`` are the rays' unit world directions, one row per pixel, best
+    laid out per axis as ``renderer.camera_rays`` makes them.  Returns the
+    ``(H*W,)`` ``t`` that :func:`intersect_rays` gives for those rays, bit
+    for bit; ``+inf`` on a miss.
     """
     if mesh.is_empty:
         raise EmptyScene("cannot intersect an empty mesh")
@@ -203,13 +205,15 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     cam = camera.world_to_camera(mesh.vertices).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = cam[:2] / cam[2] * [[camera.fx], [camera.fy]] + [[camera.cx], [camera.cy]]
-    p0, p1, p2 = (np.take(cam, c, axis=1) for c in corners)
-    # Spanned: every corner in front, and the plane clear of the camera center.
-    e1, e2 = p1 - p0, p2 - p0
-    plane = np.abs(_dot(_cross(e1, e2), p0))
-    scale = _norm(e1) * _norm(e2) * np.maximum(np.maximum(_norm(p0), _norm(p1)), _norm(p2))
-    in_front = np.minimum(np.minimum(p0[2], p1[2]), p2[2]) > CAST_Z_EPS
-    spanned = in_front & (plane > CAST_PLANE_TOL * scale)
+    # Kernel terms of every triangle.
+    a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in corners)
+    e1, e2 = b - a, c - a
+    s, q, e2q = _origin_terms(camera.center, a, e1, e2)
+    # Spanned: every corner in front, and the plane clear of the camera center;
+    # |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
+    far = np.maximum(np.maximum(_norm(s), _norm(np.subtract(s, e1))), _norm(np.subtract(s, e2)))
+    in_front = np.take(cam[2], corners).min(axis=0) > CAST_Z_EPS
+    spanned = in_front & (np.abs(e2q) > CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far))
     ids = np.flatnonzero(spanned)
     # Per row, a segment: the triangle clipped to the row's slab, bounded by the
     # edges a-c and a-b-c (corners sorted by v).  Points go along an edge from the
@@ -236,10 +240,6 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     lo = np.ceil(np.minimum.reduce(xs) - m).clip(0, w)
     hi = np.floor(np.maximum.reduce(xs) + m).clip(-1, w - 1)
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    # Kernel terms of every triangle.
-    a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in corners)
-    e1, e2 = b - a, c - a
-    s, q, e2q = _origin_terms(camera.center, a, e1, e2)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
     best = np.full(w * h, np.inf)
     # Spans: fixed blocks of (pixel, triangle) pairs bound the transient memory;

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_seeds(text: str) -> list:
-    """Seed list syntax: comma-separated non-negative values and inclusive ranges (1..5 or 1-5)."""
+    """One ``range`` per comma-separated part: a seed >= 0 or an inclusive range (1..5 or 1-5)."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
@@ -55,7 +56,7 @@ def parse_seeds(text: str) -> list:
             raise _UsageError(f"seeds must be non-negative, got {part!r}")
         if hi < lo:
             raise _UsageError(f"empty seed range {part!r}")
-        seeds.extend(range(lo, hi + 1))
+        seeds.append(range(lo, hi + 1))
     if not seeds:
         raise _UsageError(f"no seeds in {text!r}")
     return seeds
@@ -159,12 +160,13 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     _probe_writable(out)
     failures = []
-    for seed in args.seeds:
+    for seed in chain.from_iterable(args.seeds):
         try:
             emit_scene(seed, config, out, write_meshes=not args.no_meshes)
         except VesselXyzError as e:
             failures.append((seed, str(e)))
-    print(f"generated {len(args.seeds) - len(failures)}/{len(args.seeds)} scenes in {out}")
+    total = sum(map(len, args.seeds))
+    print(f"generated {total - len(failures)}/{total} scenes in {out}")
     if failures:
         for seed, why in failures:
             print(f"FAILED seed {seed}: {why}", file=sys.stderr)

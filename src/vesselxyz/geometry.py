@@ -350,15 +350,10 @@ def depth_to_xyz(depth: DepthMap, camera: PinholeCamera) -> XyzMap:
         raise DimensionMismatch(
             f"depth {depth.height}x{depth.width} vs camera {camera.height}x{camera.width}"
         )
-    us = np.arange(depth.width, dtype=np.float64)
-    vs = np.arange(depth.height, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)
+    u = np.arange(depth.width, dtype=np.float64) - camera.cx
+    v = (np.arange(depth.height, dtype=np.float64) - camera.cy)[:, None]
     z = depth.values
-    coords = np.empty((depth.height, depth.width, 3), dtype=np.float64)
-    coords[..., 0] = (uu - camera.cx) * z / camera.fx
-    coords[..., 1] = (vv - camera.cy) * z / camera.fy
-    coords[..., 2] = z
-    return XyzMap(coords, depth.valid)
+    return XyzMap(np.stack([u * z / camera.fx, v * z / camera.fy, z], axis=-1), depth.valid)
 
 
 def xyz_to_depth(xyz: XyzMap, camera: PinholeCamera) -> DepthMap:

@@ -55,26 +55,17 @@ class RenderOutput:
 def camera_rays(camera: PinholeCamera):
     """World-space rays through every pixel center.
 
-    Returns (origins, dirs, axial) where dirs are unit world directions and
-    ``axial`` is the camera-frame Z component of each unit direction, so a
-    hit at ray parameter t has optical-axis depth t * axial.
+    Returns (origins, dirs, axial), one row per pixel: ``origins`` is a
+    read-only view of the camera center, ``dirs`` are unit world directions
+    laid out per axis (``dirs.T`` is contiguous), and ``axial`` is the
+    camera-frame Z of each, so a hit at ray parameter t has depth t * axial.
     """
-    us = np.arange(camera.width, dtype=np.float64)
-    vs = np.arange(camera.height, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)
-    d_cam = np.stack(
-        [
-            (uu - camera.cx) / camera.fx,
-            (vv - camera.cy) / camera.fy,
-            np.ones_like(uu),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    norms = np.linalg.norm(d_cam, axis=1, keepdims=True)
-    unit_cam = d_cam / norms
-    dirs = unit_cam @ camera.rotation  # row-wise R^T @ d
-    origins = np.broadcast_to(camera.center, dirs.shape).copy()
-    return origins, dirs, unit_cam[:, 2].copy()
+    x = (np.arange(camera.width, dtype=np.float64) - camera.cx) / camera.fx
+    y = ((np.arange(camera.height, dtype=np.float64) - camera.cy) / camera.fy)[:, None]
+    norm = np.sqrt((x * x + y * y) + 1.0)  # summed as norm(axis=-1) sums (x, y, 1)
+    unit = np.stack([x / norm, y / norm, 1.0 / norm]).reshape(3, -1)
+    dirs = np.matmul(unit.T, camera.rotation, out=np.empty_like(unit).T)  # row-wise R^T @ d
+    return np.broadcast_to(camera.center, dirs.shape), dirs, unit[2]
 
 
 def _first_hit_table(meshes: list, camera: PinholeCamera):
@@ -85,7 +76,6 @@ def _first_hit_table(meshes: list, camera: PinholeCamera):
     :func:`camera_rays`'s per-pixel depth factor.
     """
     _, dirs, axial = camera_rays(camera)
-    dirs = np.ascontiguousarray(dirs.T).T  # column-major: the cast reads per-axis rows uncopied
     t = np.full((len(meshes), len(axial)), np.inf)
     for row, mesh in zip(t, meshes):
         if not mesh.is_empty:
@@ -109,13 +99,12 @@ def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
 
 
 def _difference_mask(t1: np.ndarray, t2: np.ndarray, axial: np.ndarray, shape) -> SegMask:
-    """Pixels where two renders disagree: validity flips or depth moves."""
-    ok1, ok2 = np.isfinite(t1), np.isfinite(t2)
-    flip = ok1 != ok2
-    both = ok1 & ok2
-    moved = np.zeros_like(flip)
-    moved[both] = np.abs((t1[both] - t2[both]) * axial[both]) > MASK_DEPTH_EPS
-    return SegMask((flip | moved).reshape(shape))
+    """Pixels where two renders disagree: validity flips or depth moves.
+
+    With ``axial > 0``, a hit/miss pair moves depth by inf; a double miss is NaN, so False.
+    """
+    with np.errstate(invalid="ignore"):
+        return SegMask((np.abs((t1 - t2) * axial) > MASK_DEPTH_EPS).reshape(shape))
 
 
 def render_scene(scene: SceneRecord) -> RenderOutput:

@@ -340,11 +340,17 @@ def oracle_r_squared(pred, gt, mask) -> float:
 
 
 def oracle_chamfer(a_pts, b_pts) -> float:
+    """Mean nearest distance both ways, over every point pair: no tree."""
     a = np.asarray(a_pts, dtype=np.float64)
     b = np.asarray(b_pts, dtype=np.float64)
-    fwd = [min(math.dist(x, y) for y in a) for x in b]
-    bwd = [min(math.dist(x, y) for y in b) for x in a]
-    return float(np.mean(fwd) + np.mean(bwd))
+
+    def nearest(queries, points):  # 256 queries a chunk bound the pair array
+        return np.concatenate([
+            np.sqrt(np.min(np.sum((chunk[:, None] - points) ** 2, axis=-1), axis=1))
+            for chunk in np.split(queries, range(256, len(queries), 256))
+        ])
+
+    return float(np.mean(nearest(b, a)) + np.mean(nearest(a, b)))
 
 
 # ── naive oracles: bvh ───────────────────────────────────────────────────
@@ -391,6 +397,28 @@ def oracle_bvh_leaves(mesh: TriMesh, leaf_size: int = 8):
 
     split(0, len(tri))
     return order, sorted(leaves)
+
+
+# ── naive oracles: renderer ──────────────────────────────────────────────
+
+def oracle_camera_rays(camera: PinholeCamera):
+    """``(origins, dirs, axial)`` from a meshgrid of pixel centers and np.linalg.norm."""
+    uu, vv = np.meshgrid(np.arange(camera.width, dtype=np.float64),
+                         np.arange(camera.height, dtype=np.float64))
+    d_cam = np.stack([(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy,
+                      np.ones_like(uu)], axis=-1).reshape(-1, 3)
+    unit = d_cam / np.linalg.norm(d_cam, axis=1, keepdims=True)
+    dirs = unit @ camera.rotation
+    return np.broadcast_to(camera.center, dirs.shape).copy(), dirs, unit[:, 2].copy()
+
+
+def oracle_difference_mask(t1, t2, axial, eps) -> np.ndarray:
+    """Validity flips, or a depth move above ``eps`` on the pixels both rows hit."""
+    ok1, ok2 = np.isfinite(t1), np.isfinite(t2)
+    both = ok1 & ok2
+    moved = np.zeros_like(both)
+    moved[both] = np.abs((t1[both] - t2[both]) * axial[both]) > eps
+    return (ok1 != ok2) | moved
 
 
 # ── icosphere for renderer tests ─────────────────────────────────────────

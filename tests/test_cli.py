@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +62,37 @@ ABSENT_ROWS = {
 
 class TestParseSeeds:
     def test_forms(self):
-        assert parse_seeds("5") == [5]
-        assert parse_seeds("1..4") == [1, 2, 3, 4]
-        assert parse_seeds("2-4") == [2, 3, 4]
-        assert parse_seeds("1,7,9") == [1, 7, 9]
-        assert parse_seeds("1..2,9") == [1, 2, 9]
+        def seeds(text):
+            return list(chain.from_iterable(parse_seeds(text)))
+
+        assert seeds("5") == [5]
+        assert seeds("1..4") == [1, 2, 3, 4]
+        assert seeds("2-4") == [2, 3, 4]
+        assert seeds("1,7,9") == [1, 7, 9]
+        assert seeds("1..2,9") == [1, 2, 9]
 
     def test_empty_rejected(self):
         with pytest.raises(_UsageError):
             parse_seeds(",")
+
+    def test_huge_range_is_not_materialized(self, tmp_path):
+        # A child interpreter under a 1.5 GB address-space cap: a seed list
+        # built in full would fail there, not in this process.
+        taken = tmp_path / "file"
+        taken.write_text("")
+        code = (
+            "import resource, sys; cap = 1536 << 20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from vesselxyz.cli import main; "
+            f"sys.exit(main(['generate', '--seeds', '0..100000000000', '--out', {str(taken)!r}]))"
+        )
+        env = dict(os.environ)
+        src = str(Path(vesselxyz.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == EXIT_DATA, out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestGenerate:

@@ -25,7 +25,7 @@ from vesselxyz import (
     render_depth,
     render_scene,
 )
-from conftest import icosphere
+from conftest import icosphere, oracle_camera_rays, oracle_difference_mask, random_rotation
 
 
 def down_camera(height_m=1.0, res=32, f=40.0):
@@ -199,6 +199,45 @@ def tie_scene(vessel, content, ground=GroundPlane(0.0, 5.0)) -> SceneRecord:
 
 def relabeled(mesh: TriMesh, label: str) -> TriMesh:
     return TriMesh(mesh.vertices, mesh.triangles, label)
+
+
+class TestRaysAndMasks:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_camera_rays_match_oracle_bitwise(self, seed):
+        from vesselxyz.renderer import camera_rays
+
+        rng = np.random.default_rng(seed)
+        w, h = [(1, 37), (29, 1), (1, 1)][seed] if seed < 3 else rng.integers(1, 80, 2)
+        # principal points on either edge, at the center or anywhere
+        cx, cy = (float(rng.choice([0.0, n - 1e-9, (n - 1) / 2, rng.uniform(0, n)]))
+                  for n in (w, h))
+        cam = PinholeCamera(float(10 ** rng.uniform(0, 3)), float(10 ** rng.uniform(0, 3)),
+                            cx, cy, int(w), int(h), random_rotation(rng), rng.uniform(-3, 3, 3))
+        got, want = camera_rays(cam), oracle_camera_rays(cam)
+        for g, x in zip(got, want):
+            assert g.shape == x.shape and g.dtype == x.dtype and g.tobytes() == x.tobytes()
+        origins, dirs, _ = got
+        assert not origins.flags.writeable
+        assert dirs.T.flags.c_contiguous  # per-axis rows for the cast
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_difference_mask_matches_oracle_bitwise(self, seed):
+        from vesselxyz.renderer import MASK_DEPTH_EPS, _difference_mask
+
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(1, 40, 2)
+        n = h * w
+        t1 = rng.uniform(0.1, 10.0, n)
+        # equal, within and just past the epsilon, and far moves
+        step = rng.choice([0.0, MASK_DEPTH_EPS / 2, MASK_DEPTH_EPS, 2 * MASK_DEPTH_EPS, 1.0], n)
+        t2 = t1 + step * rng.choice([-1.0, 1.0], n)
+        miss = rng.choice(4, n)  # neither, first, second, both rows miss
+        t1[(miss == 1) | (miss == 3)] = np.inf
+        t2[(miss == 2) | (miss == 3)] = np.inf
+        axial = rng.uniform(0.3, 1.0, n)
+        got = _difference_mask(t1, t2, axial, (h, w)).values
+        want = oracle_difference_mask(t1, t2, axial, MASK_DEPTH_EPS).reshape(h, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCrossMeshTies:
