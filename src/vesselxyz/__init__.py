@@ -41,7 +41,6 @@ from .geometry import (
     depth_to_xyz,
     masked_points,
     pair_differences,
-    xyz_to_depth,
 )
 from .losses import (
     LossReport,
@@ -84,7 +83,7 @@ from .procgen import (
     profile_to_mesh,
 )
 from .bvh import Bvh, build_bvh, intersect_rays, intersect_rays_brute
-from .renderer import RenderOutput, clean_depth, render_depth, render_scene
+from .renderer import RenderOutput, clean_depth, render_scene
 from .formats import (
     read_depth_pfm,
     read_pgm,

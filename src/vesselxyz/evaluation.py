@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import __version__
 from .errors import InvalidValue, MalformedManifest, MissingPrediction, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
 from .geometry import valid_region
@@ -115,4 +114,4 @@ def run_eval(gt_dir, pred_dir, mode: str, dilations=None) -> ReportDocument:
     rows = []
     for path in manifest_paths:
         rows.extend(evaluate_scene(load_manifest(path), gt_dir, pred_dir, mode, dilations))
-    return ReportDocument.build(mode, COLUMNS[mode], rows, __version__)
+    return ReportDocument.build(mode, COLUMNS[mode], rows)

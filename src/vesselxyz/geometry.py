@@ -139,11 +139,6 @@ class XyzMap:
     def width(self) -> int:
         return self.coords.shape[1]
 
-    def shifted(self, offset) -> "XyzMap":
-        """New map translated by a constant per-axis offset."""
-        off = np.asarray(offset, dtype=np.float64).reshape(3)
-        return XyzMap(self.coords + off, self.valid)
-
 
 @dataclass(frozen=True)
 class PinholeCamera:
@@ -354,20 +349,6 @@ def depth_to_xyz(depth: DepthMap, camera: PinholeCamera) -> XyzMap:
     v = (np.arange(depth.height, dtype=np.float64) - camera.cy)[:, None]
     z = depth.values
     return XyzMap(np.stack([u * z / camera.fx, v * z / camera.fy, z], axis=-1), depth.valid)
-
-
-def xyz_to_depth(xyz: XyzMap, camera: PinholeCamera) -> DepthMap:
-    """Project a camera-frame XYZ map back to its depth channel (Z).
-
-    Inverse of :func:`depth_to_xyz` on valid pixels; the round trip is the
-    identity to floating-point precision.  A valid pixel with Z <= 0 raises
-    NonPositiveDepth.
-    """
-    if (xyz.height, xyz.width) != (camera.height, camera.width):
-        raise DimensionMismatch(
-            f"xyz {xyz.height}x{xyz.width} vs camera {camera.height}x{camera.width}"
-        )
-    return DepthMap(xyz.coords[..., 2], xyz.valid)
 
 
 def checked_dilations(dilations) -> tuple:

@@ -71,17 +71,19 @@ def translation_invariant_loss(pred: XyzMap, gt: XyzMap, pairs: PairSet) -> Loss
     return LossReport(value, None, False, len(pairs))
 
 
-def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray, min_pairs: int = MIN_SCALE_PAIRS):
+def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray):
     """K from gathered differences, plus the kept mask and both means behind it.
 
     Returns (ScaleFactor, keep, num, den) with num and den the mean absolute
     GT and predicted differences over the sign-consistent entries ``keep``.
+    DegenerateScale when fewer than ``MIN_SCALE_PAIRS`` entries are kept or
+    the predicted mean is numerically zero.
     """
     keep = (d_gt * d_pred) > 0.0
     n_keep = int(np.count_nonzero(keep))
-    if n_keep < min_pairs:
+    if n_keep < MIN_SCALE_PAIRS:
         raise DegenerateScale(
-            f"only {n_keep} sign-consistent pair entries, need at least {min_pairs}"
+            f"only {n_keep} sign-consistent pair entries, need at least {MIN_SCALE_PAIRS}"
         )
     den = float(np.mean(np.abs(d_pred[keep])))
     if den < DENOMINATOR_FLOOR:
@@ -90,17 +92,15 @@ def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray, min_pairs: int = MIN_SCAL
     return ScaleFactor(num / den, n_keep), keep, num, den
 
 
-def scale_factor(
-    pred: XyzMap, gt: XyzMap, pairs: PairSet, min_pairs: int = MIN_SCALE_PAIRS
-) -> ScaleFactor:
+def scale_factor(pred: XyzMap, gt: XyzMap, pairs: PairSet) -> ScaleFactor:
     """Per-image scale ratio K between GT and predicted pair differences.
 
     Only pair/axis entries whose GT and predicted differences agree in sign
     (positive product) enter the two means; sign-flipped entries say nothing
-    about scale.  Raises DegenerateScale when fewer than ``min_pairs``
+    about scale.  Raises DegenerateScale when fewer than ``MIN_SCALE_PAIRS``
     entries survive or the predicted mean is numerically zero.
     """
-    return _scale_terms(*_paired_differences(pred, gt, pairs), min_pairs)[0]
+    return _scale_terms(*_paired_differences(pred, gt, pairs))[0]
 
 
 def _control_term(k: float):

@@ -30,6 +30,7 @@ _MAX_RESOLUTION = 8192
 _MAX_SEGMENTS = 8192
 _MAX_SAMPLES = 2**20
 _MAX_TERMS = 64
+_MAX_DEGREE = 1024
 _MAX_RETRIES = 10_000
 
 
@@ -162,7 +163,7 @@ _CONFIG_BOUNDS = {
     "profile.height": ((">", 0.0),),
     "profile.base_radius": ((">", 0.0),),
     "profile.min_radius": ((">", 0.0),),
-    "profile.poly_degrees": ((">=", 0),),
+    "profile.poly_degrees": ((">=", 0), ("<=", _MAX_DEGREE)),
     "profile.samples": ((">=", 2), ("<=", _MAX_SAMPLES)),
     "profile.term_count": ((">=", 0), ("<=", _MAX_TERMS)),
     "profile.max_retries": ((">=", 1), ("<=", _MAX_RETRIES)),
@@ -202,6 +203,8 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
                 raise MalformedConfig(f"field {name!r}: must be {op} {bound}, got {value!r}")
         if isinstance(default, tuple) and items[0] > items[1]:
             raise MalformedConfig(f"field {name!r}: low end above high end in {value!r}")
+        if isinstance(default, tuple) and not math.isfinite(items[1] - items[0]):
+            raise MalformedConfig(f"field {name!r}: range {value!r} is too wide to draw from")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return kwargs
 
@@ -345,15 +348,14 @@ def opening_plane(profile: VesselProfile, angular_segments: int = 256) -> TriMes
 
 @dataclass(frozen=True)
 class GroundPlane:
-    """Horizontal square ground patch at a fixed height."""
+    """Horizontal square ground patch at y = 0."""
 
-    height: float = 0.0
     half_extent: float = 2.0
 
     def to_mesh(self) -> TriMesh:
-        e, y = self.half_extent, self.height
+        e = self.half_extent
         vertices = np.array(
-            [[-e, y, -e], [-e, y, e], [e, y, e], [e, y, -e]], dtype=np.float64
+            [[-e, 0.0, -e], [-e, 0.0, e], [e, 0.0, e], [e, 0.0, -e]], dtype=np.float64
         )
         triangles = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
         return TriMesh(vertices, triangles, "ground")
@@ -495,7 +497,7 @@ def assemble_scene(seed: int, config: SceneConfig | None = None) -> SceneRecord:
         vessel=vessel,
         content=content,
         opening=opening,
-        ground_plane=GroundPlane(0.0, config.ground_half_extent),
+        ground_plane=GroundPlane(config.ground_half_extent),
         camera=camera,
         vessel_material=vessel_material,
         content_material=content_material,

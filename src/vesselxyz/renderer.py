@@ -29,7 +29,7 @@ import numpy as np
 from .bvh import build_bvh, cast_camera_rays, intersect_rays  # noqa: F401
 from .errors import EmptyScene
 from .geometry import (
-    DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap, depth_to_xyz, masked_points, valid_region,
+    DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz, masked_points, valid_region,
 )
 from .procgen import SceneRecord
 
@@ -86,16 +86,6 @@ def _first_hit_table(meshes: list, camera: PinholeCamera):
 def _depth(t: np.ndarray, valid: np.ndarray, axial: np.ndarray, camera: PinholeCamera) -> DepthMap:
     shape = (camera.height, camera.width)
     return DepthMap((t * axial).reshape(shape), valid.reshape(shape))
-
-
-def render_depth(geometry, camera: PinholeCamera) -> DepthMap:
-    """Depth map of arbitrary geometry (a TriMesh or a list of TriMeshes)."""
-    meshes = [geometry] if isinstance(geometry, TriMesh) else list(geometry)
-    if all(m.is_empty for m in meshes):
-        raise EmptyScene("no triangles to render")
-    t, axial = _first_hit_table(meshes, camera)
-    nearest = t.min(axis=0)
-    return _depth(nearest, np.isfinite(nearest), axial, camera)
 
 
 def _difference_mask(t1: np.ndarray, t2: np.ndarray, axial: np.ndarray, shape) -> SegMask:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
+
 XYZ_COLUMNS = (
     "mae",
     "mad",
@@ -47,10 +49,9 @@ class ReportDocument:
     columns: tuple
     rows: list
     aggregates: dict
-    tool_version: str
 
     @classmethod
-    def build(cls, mode: str, columns, rows: list, tool_version: str) -> "ReportDocument":
+    def build(cls, mode: str, columns, rows: list) -> "ReportDocument":
         """Assemble a document, deriving aggregates from the rows.
 
         Rows are dicts with "seed", "object", optionally "missing": True,
@@ -69,7 +70,7 @@ class ReportDocument:
                 col: float(np.mean(np.array([r[col] for r in grp], dtype=np.float64)))
                 for col in columns
             }
-        return cls(mode, tuple(columns), list(rows), aggregates, tool_version)
+        return cls(mode, tuple(columns), list(rows), aggregates)
 
     def to_csv(self) -> str:
         header = ["seed", "object", "missing", *self.columns]
@@ -107,7 +108,7 @@ class ReportDocument:
             table.append(["mean", name] + [fmt(c, agg[c]) for c in self.columns])
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         lines = [
-            f"# mode: {self.mode} | tool: vesselxyz {self.tool_version}",
+            f"# mode: {self.mode} | tool: vesselxyz {__version__}",
             f"# {NOTES}",
         ]
         for row in table:

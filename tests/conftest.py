@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from vesselxyz import DepthMap, PinholeCamera, SegMask, TriMesh, XyzMap
+from vesselxyz.bvh import cast_camera_rays
 from vesselxyz.procgen import SceneRecord
+from vesselxyz.renderer import camera_rays
 
 
 # ── random data builders ─────────────────────────────────────────────────
@@ -421,7 +423,15 @@ def oracle_difference_mask(t1, t2, axial, eps) -> np.ndarray:
     return (ok1 != ok2) | moved
 
 
-# ── icosphere for renderer tests ─────────────────────────────────────────
+# ── single-mesh depth and icosphere for renderer tests ───────────────────
+
+def cast_depth(mesh: TriMesh, camera: PinholeCamera) -> DepthMap:
+    """Depth map of one mesh: ``t * axial`` per pixel, ``t`` from the camera cast."""
+    _, dirs, axial = camera_rays(camera)
+    t = cast_camera_rays(mesh, camera, dirs)
+    shape = (camera.height, camera.width)
+    return DepthMap((t * axial).reshape(shape), np.isfinite(t).reshape(shape))
+
 
 def icosphere(subdivisions: int = 4, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
     phi = (1.0 + math.sqrt(5.0)) / 2.0

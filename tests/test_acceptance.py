@@ -34,7 +34,6 @@ from vesselxyz import (
     read_depth_pfm,
     read_pgm,
     read_xyz_pfm,
-    render_depth,
     scale_factor,
     scale_invariant_loss,
     seg_eval,
@@ -45,6 +44,7 @@ from vesselxyz import (
 from vesselxyz.cli import EXIT_OK, main as cli_main
 from vesselxyz.manifest import manifest_name
 from conftest import (
+    cast_depth,
     dyadic_offset,
     dyadic_xyz,
     enclosed_volume,
@@ -106,7 +106,8 @@ def test_c01_invariance_suite():
 
         # exact translation invariance on the dyadic grid
         base = translation_invariant_loss(pred, gt, pairs).value
-        moved = translation_invariant_loss(pred.shifted(dyadic_offset(rng)), gt, pairs).value
+        moved_pred = XyzMap(pred.coords + dyadic_offset(rng), pred.valid)
+        moved = translation_invariant_loss(moved_pred, gt, pairs).value
         assert moved == base
 
         # similarity invariance of the scale-normalized loss while K stays
@@ -298,14 +299,14 @@ def test_c07_renderer_accuracy():
         np.array([[0, 1, 2], [0, 2, 3]]),
         "ground",
     )
-    depth = render_depth(plane, cam)
+    depth = cast_depth(plane, cam)
     assert depth.valid.all()
     np.testing.assert_allclose(depth.values, 1.0, rtol=1e-9)
 
     # icosphere: center-pixel depth within mesh chord error of 2e-3
     sphere = icosphere(4, radius=1.0, center=(0.0, 0.0, 3.0))
     cam = PinholeCamera(fx=200.0, fy=200.0, cx=31.5, cy=31.5, width=64, height=64)
-    depth = render_depth(sphere, cam)
+    depth = cast_depth(sphere, cam)
     center = depth.values[31:33, 31:33]
     assert np.all(np.abs(center - 2.0) <= 2e-3)
 
@@ -315,7 +316,7 @@ def test_c07_renderer_accuracy():
     mesh = profile_to_mesh(prof, 512, 8)
     cam = look_at_camera((0.0, hgt / 2, d), (0.0, hgt / 2, 0.0),
                          fx=300.0, fy=300.0, cx=63.5, cy=63.5, width=128, height=128)
-    depth = render_depth(mesh, cam)
+    depth = cast_depth(mesh, cam)
     from vesselxyz.renderer import camera_rays
 
     origins, dirs, axial = camera_rays(cam)

@@ -290,7 +290,7 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
     pixel: corners on pixel-center rays (edges through pixel centers);
     random: anywhere, mostly off screen; tiny: within about one pixel;
     behind: every corner at z < 0; straddle: corners at z = 0, +-eps, ...;
-    grazing: planes through, or within 1e-15..1e-6 of, the camera center;
+    grazing: planes holding two pixel-center rays, or up to 1e-15..1e-6 off;
     along_ray: an edge on a pixel-center ray; strip: a grid of corners on
     pixel-center rays, two triangles per cell sharing edges; row: corners on
     a pixel-center row or ``CAST_MARGIN_PX`` off one; flat: a horizontal or
@@ -326,8 +326,11 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
             z = rng.choice([-1.0, -eps, 0.0, eps / 2, eps, 2 * eps, 1e-6, 1.0, 3.0], 3)
             c = np.column_stack([rng.uniform(-1, 1, (3, 2)), z])
         elif kind == "grazing":
-            p = at(rng.uniform(-2, w + 1, 2), rng.uniform(-2, h + 1, 2), depth(2))
+            p = at(np.array([rng.integers(0, w), rng.integers(-2, w + 2)]),
+                   np.array([rng.integers(0, h), rng.integers(-2, h + 2)]), depth(2))
             n = np.cross(p[0], p[1])
+            if not n.any():  # both on one ray: no plane
+                continue
             off = rng.choice([0.0, 1e-15, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6])
             q = rng.uniform(0.2, 1.5) * p[0] + rng.uniform(-0.8, 1.5) * p[1]
             c = np.vstack([p, q + off * n / np.linalg.norm(n)])

@@ -163,6 +163,12 @@ class TestGenerate:
             ('{"angular_segments": 10000000000000000000}', "angular_segments"),
             ('{"vertical_segments": 10000000000000000000}', "vertical_segments"),
             ('{"profile": {"samples": 10000000000000000000}}', "profile.samples"),
+            ('{"profile": {"poly_degrees": [100000000000000000000, 100000000000000000000], '
+             '"term_count": [4, 4]}}', "profile.poly_degrees"),
+            # finite ends whose width overflows a float
+            ('{"profile": {"linear_slope": [-1e308, 1e308], "term_count": [4, 4]}}',
+             "profile.linear_slope"),
+            ('{"camera_azimuth_deg": [-1e308, 1e308]}', "camera_azimuth_deg"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
@@ -171,7 +177,8 @@ class TestGenerate:
              "zero-camera-distance", "negative-ground", "zero-base-radius",
              "zero-min-radius", "one-profile-sample", "no-retries", "nested-too-deep",
              "huge-resolution", "huge-angular-segments", "huge-vertical-segments",
-             "huge-profile-samples"],
+             "huge-profile-samples", "huge-poly-degrees", "overflowing-slope-range",
+             "overflowing-azimuth-range"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"

@@ -24,7 +24,6 @@ from vesselxyz import (
     depth_to_xyz,
     masked_points,
     pair_differences,
-    xyz_to_depth,
 )
 from conftest import (
     dyadic_offset,
@@ -68,26 +67,10 @@ class TestDepthToXyz:
         for _ in range(100):
             cam = random_camera(rng, width=17, height=13)
             depth = random_depth(rng, 13, 17, holes=0.3)
-            back = xyz_to_depth(depth_to_xyz(depth, cam), cam)
-            assert np.array_equal(back.valid, depth.valid)
+            xyz = depth_to_xyz(depth, cam)
+            assert np.array_equal(xyz.valid, depth.valid)
             sel = depth.valid
-            np.testing.assert_allclose(
-                back.values[sel], depth.values[sel], rtol=1e-9, atol=0
-            )
-
-
-class TestXyzToDepth:
-    def test_single_pixel(self):
-        cam = PinholeCamera(fx=10.0, fy=10.0, cx=0.0, cy=0.0, width=1, height=1)
-        xyz = XyzMap(np.array([[[0.0, 0.0, 2.0]]]), np.ones((1, 1), bool))
-        assert xyz_to_depth(xyz, cam).values[0, 0] == 2.0
-
-    def test_nonpositive_z_rejected(self):
-        cam = PinholeCamera(fx=10.0, fy=10.0, cx=0.0, cy=0.5, width=2, height=2)
-        coords = np.ones((2, 2, 3))
-        coords[1, 1, 2] = -1.0
-        with pytest.raises(NonPositiveDepth):
-            xyz_to_depth(XyzMap(coords, np.ones((2, 2), bool)), cam)
+            assert xyz.coords[..., 2][sel].tobytes() == depth.values[sel].tobytes()
 
 
 class TestMapTypes:
@@ -372,7 +355,7 @@ class TestPairDifferences:
         for _ in range(50):
             m = dyadic_xyz(rng, 6, 7)
             pairs = build_pair_set(SegMask(np.ones((6, 7), bool)), [1, 2])
-            shifted = m.shifted(dyadic_offset(rng))
+            shifted = XyzMap(m.coords + dyadic_offset(rng), m.valid)
             assert np.array_equal(
                 pair_differences(m, pairs), pair_differences(shifted, pairs)
             )

@@ -80,7 +80,8 @@ class TestTranslationInvariantLoss:
             pred = dyadic_xyz(rng, 6, 6)
             pairs = build_pair_set(full_mask(6, 6), [1, 2])
             base = translation_invariant_loss(pred, gt, pairs).value
-            moved = translation_invariant_loss(pred.shifted(dyadic_offset(rng)), gt, pairs).value
+            moved_pred = XyzMap(pred.coords + dyadic_offset(rng), pred.valid)
+            moved = translation_invariant_loss(moved_pred, gt, pairs).value
             assert moved == base
 
     def test_empty_pairs_raise(self):
@@ -123,17 +124,18 @@ class TestScaleFactor:
         assert scale_factor(gt, gt, pairs).k == 1.0
 
     def test_single_axis_hand_ratio(self):
-        # gt difference +4, pred difference +1 on Z; X/Y flat so their
-        # zero-product entries are excluded -> K = 4
-        gt = np.zeros((1, 2, 3))
-        gt[0, 1, 2] = -4.0  # first - second = 0 - (-4) = +4
-        pred = np.zeros((1, 2, 3))
-        pred[0, 1, 2] = -1.0
-        valid = np.ones((1, 2), bool)
-        pairs = build_pair_set(full_mask(1, 2), [1])
-        k = scale_factor(XyzMap(pred, valid), XyzMap(gt, valid), pairs, min_pairs=1)
+        # along a 1x9 row each of the 8 pairs has gt difference +4 and pred
+        # difference +1 on Z; X/Y flat so their zero-product entries are
+        # excluded -> K = 4
+        gt = np.zeros((1, 9, 3))
+        gt[0, :, 2] = -4.0 * np.arange(9)  # first - second = +4
+        pred = np.zeros((1, 9, 3))
+        pred[0, :, 2] = -1.0 * np.arange(9)
+        valid = np.ones((1, 9), bool)
+        pairs = build_pair_set(full_mask(1, 9), [1])
+        k = scale_factor(XyzMap(pred, valid), XyzMap(gt, valid), pairs)
         assert k.k == 4.0
-        assert k.valid_pair_count == 1
+        assert k.valid_pair_count == 8
 
     def test_min_pair_floor(self):
         pred, gt, pairs = two_pixel_fixture()

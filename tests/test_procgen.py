@@ -222,11 +222,12 @@ class TestMeshOrder:
 @pytest.mark.parametrize(
     "field, cap",
     [("resolution", 8192), ("angular_segments", 8192), ("vertical_segments", 8192),
-     ("profile.samples", 2**20), ("profile.max_retries", 10_000), ("profile.term_count", 64)],
+     ("profile.samples", 2**20), ("profile.max_retries", 10_000), ("profile.term_count", 64),
+     ("profile.poly_degrees", 1024)],
 )
 def test_config_size_fields_are_capped(field, cap):
     def doc(value):
-        if field == "profile.term_count":  # a range: both ends are checked
+        if field in ("profile.term_count", "profile.poly_degrees"):  # a range: both ends are checked
             value = [1, value]
         for key in reversed(field.split(".")):
             value = {key: value}

@@ -22,10 +22,11 @@ from vesselxyz import (
     intersect_rays_brute,
     look_at_camera,
     profile_to_mesh,
-    render_depth,
     render_scene,
 )
-from conftest import icosphere, oracle_camera_rays, oracle_difference_mask, random_rotation
+from vesselxyz.bvh import cast_camera_rays
+from vesselxyz.renderer import camera_rays
+from conftest import cast_depth, icosphere, oracle_camera_rays, oracle_difference_mask, random_rotation
 
 
 def down_camera(height_m=1.0, res=32, f=40.0):
@@ -47,7 +48,7 @@ def square_patch(y=0.0, half=5.0) -> TriMesh:
 class TestRenderDepth:
     def test_plane_straight_down_all_depth_one(self):
         # optical-axis depth is constant over the whole plane, unlike ray length
-        depth = render_depth(square_patch(0.0), down_camera(1.0))
+        depth = cast_depth(square_patch(0.0), down_camera(1.0))
         assert depth.valid.all()
         np.testing.assert_allclose(depth.values, 1.0, rtol=1e-9)
 
@@ -59,7 +60,7 @@ class TestRenderDepth:
         t, tri, _, _ = intersect_rays(build_bvh(sphere), np.zeros(3), [0.0, 0.0, 1.0])
         assert tri[0] >= 0
         assert abs(t[0] - 2.0) <= 2e-3
-        depth = render_depth(sphere, cam)
+        depth = cast_depth(sphere, cam)
         # the four pixels around the principal point straddle the axis
         center = depth.values[15:17, 15:17]
         assert np.all(np.abs(center - 2.0) <= 2.5e-3)
@@ -67,12 +68,13 @@ class TestRenderDepth:
     def test_miss_everything_invalid(self):
         sphere = icosphere(1, radius=0.5, center=(0.0, 0.0, -5.0))  # behind camera
         cam = PinholeCamera(fx=50.0, fy=50.0, cx=7.5, cy=7.5, width=16, height=16)
-        depth = render_depth(sphere, cam)
+        depth = cast_depth(sphere, cam)
         assert not depth.valid.any()
 
     def test_empty_scene_raises(self):
+        cam = down_camera()
         with pytest.raises(EmptyScene):
-            render_depth([], down_camera())
+            cast_camera_rays(TriMesh([], [], "content"), cam, camera_rays(cam)[1])
 
     def test_cylinder_silhouette_width(self):
         # side view: silhouette width in pixels ~ 2 r fx / d
@@ -83,7 +85,7 @@ class TestRenderDepth:
             eye=(0.0, h / 2, d), target=(0.0, h / 2, 0.0),
             fx=300.0, fy=300.0, cx=63.5, cy=63.5, width=128, height=128,
         )
-        depth = render_depth(mesh, cam)
+        depth = cast_depth(mesh, cam)
         mid_row = depth.valid[64]
         width_px = int(mid_row.sum())
         expected = 2 * r * 300.0 / d
@@ -186,7 +188,7 @@ class TestRenderScene:
         np.testing.assert_array_equal(a.content_mask.values, b.content_mask.values)
 
 
-def tie_scene(vessel, content, ground=GroundPlane(0.0, 5.0)) -> SceneRecord:
+def tie_scene(vessel, content, ground=GroundPlane(5.0)) -> SceneRecord:
     """A hand-built scene under ``down_camera()``; the opening floats aside."""
     opening = TriMesh(square_patch(0.9, 0.05).vertices, [[0, 1, 2], [0, 2, 3]], "opening")
     material = MaterialVector((0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
@@ -204,8 +206,6 @@ def relabeled(mesh: TriMesh, label: str) -> TriMesh:
 class TestRaysAndMasks:
     @pytest.mark.parametrize("seed", range(12))
     def test_camera_rays_match_oracle_bitwise(self, seed):
-        from vesselxyz.renderer import camera_rays
-
         rng = np.random.default_rng(seed)
         w, h = [(1, 37), (29, 1), (1, 1)][seed] if seed < 3 else rng.integers(1, 80, 2)
         # principal points on either edge, at the center or anywhere
@@ -246,11 +246,11 @@ class TestCrossMeshTies:
     def test_vessel_keeps_tie_with_content(self):
         vessel = relabeled(square_patch(0.5, 0.1), "vessel")
         content = relabeled(vessel, "content")
-        tied = render_depth(vessel, down_camera()).valid
+        tied = cast_depth(vessel, down_camera()).valid
         assert 0 < tied.sum() < tied.size
         out = render_scene(tie_scene(vessel, content))
         np.testing.assert_array_equal(
-            out.vessel_depth.values, render_depth(content, down_camera()).values
+            out.vessel_depth.values, cast_depth(content, down_camera()).values
         )
         # the content's equal hit does not take the pixel from the vessel, and
         # removing the vessel moves no depth, so its mask stays empty
@@ -259,11 +259,11 @@ class TestCrossMeshTies:
         np.testing.assert_array_equal(out.content_depth.valid, tied)
 
     def test_content_keeps_tie_with_ground(self):
-        ground = GroundPlane(0.0, 5.0)
+        ground = GroundPlane(5.0)
         content = relabeled(ground.to_mesh(), "content")
         out = render_scene(tie_scene(relabeled(square_patch(0.5, 0.1), "vessel"), content, ground))
         np.testing.assert_array_equal(
-            out.content_depth.values, render_depth(ground.to_mesh(), down_camera()).values
+            out.content_depth.values, cast_depth(ground.to_mesh(), down_camera()).values
         )
         assert out.content_depth.valid.all()
         assert not out.content_mask.values.any()

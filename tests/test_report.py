@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from vesselxyz import __version__
 from vesselxyz.report import SEG_COLUMNS, XYZ_COLUMNS, ReportDocument
 
 
@@ -19,7 +20,7 @@ class TestReportDocument:
             _xyz_row(2, "vessel", 0.125),
             {"seed": 2, "object": "content", "missing": True},
         ]
-        doc = ReportDocument.build("vessel-scale", XYZ_COLUMNS, rows, "0.1.0")
+        doc = ReportDocument.build("vessel-scale", XYZ_COLUMNS, rows)
         expected_overall = float(np.mean(np.array([0.25, 0.5, 0.125])))
         for col in XYZ_COLUMNS:
             assert abs(doc.aggregates["overall"][col] - expected_overall) <= 1e-12
@@ -28,7 +29,7 @@ class TestReportDocument:
 
     def test_csv_round_trip_values(self):
         rows = [_xyz_row(7, "vessel", 0.1234567890123), {"seed": 7, "object": "content", "missing": True}]
-        doc = ReportDocument.build("content-scale", XYZ_COLUMNS, rows, "0.1.0")
+        doc = ReportDocument.build("content-scale", XYZ_COLUMNS, rows)
         lines = doc.to_csv().strip().splitlines()
         header = lines[0].split(",")
         first = dict(zip(header, lines[1].split(",")))
@@ -38,7 +39,7 @@ class TestReportDocument:
 
     def test_text_table_percent_columns(self):
         rows = [{"seed": 3, "object": "vessel", "iou": 0.5, "precision": 0.75, "recall": 1.0}]
-        doc = ReportDocument.build("segmentation", SEG_COLUMNS, rows, "0.1.0")
+        doc = ReportDocument.build("segmentation", SEG_COLUMNS, rows)
         text = doc.to_text()
         assert "50.00%" in text and "75.00%" in text and "100.00%" in text
-        assert "mode: segmentation" in text
+        assert f"# mode: segmentation | tool: vesselxyz {__version__}" in text
