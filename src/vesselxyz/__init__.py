@@ -82,7 +82,7 @@ from .procgen import (
     opening_plane,
     profile_to_mesh,
 )
-from .bvh import Bvh, build_bvh, intersect_rays, intersect_rays_brute
+from .bvh import intersect_rays_brute
 from .renderer import RenderOutput, clean_depth, render_scene
 from .formats import (
     read_depth_pfm,

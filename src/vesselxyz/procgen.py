@@ -32,6 +32,8 @@ _MAX_SAMPLES = 2**20
 _MAX_TERMS = 64
 _MAX_DEGREE = 1024
 _MAX_RETRIES = 10_000
+# Cap on lengths (meters) and profile coefficients; values near the float range overflow a scene.
+_MAX_MAGNITUDE = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +160,13 @@ _CONFIG_BOUNDS = {
     "focal_px": ((">", 0.0),),
     "wall_clearance": ((">", 0.0),),
     "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
-    "camera_distance": ((">", 0.0),),
-    "ground_half_extent": ((">", 0.0),),
-    "profile.height": ((">", 0.0),),
-    "profile.base_radius": ((">", 0.0),),
+    "camera_distance": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
+    "ground_half_extent": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
+    "profile.height": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
+    "profile.base_radius": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
+    "profile.linear_slope": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
+    "profile.poly_coefficient": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
+    "profile.sin_amplitude_scale": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
     "profile.min_radius": ((">", 0.0),),
     "profile.poly_degrees": ((">=", 0), ("<=", _MAX_DEGREE)),
     "profile.samples": ((">=", 2), ("<=", _MAX_SAMPLES)),

@@ -25,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# build_bvh and intersect_rays are unused here: perfbench/spans.py hooks them by these names.
-from .bvh import build_bvh, cast_camera_rays, intersect_rays  # noqa: F401
+from .bvh import cast_camera_rays
 from .errors import EmptyScene
 from .geometry import (
     DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz, masked_points, valid_region,
 )
 from .procgen import SceneRecord
+
+# Placeholders: perfbench/spans.py wraps these names, and nothing calls them.
+build_bvh = intersect_rays = None
 
 MASK_DEPTH_EPS = 1e-6  # meters of depth change that counts as "object present"
 CLEAN_MAX_OFFSET = 0.10  # meters from the object centroid

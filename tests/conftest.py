@@ -376,29 +376,19 @@ def oracle_moller_trumbore(o, d, v0, e1, e2, t_min=1e-9):
     return t, u, v, hit
 
 
-def oracle_bvh_leaves(mesh: TriMesh, leaf_size: int = 8):
-    """Recursive median split: (triangle order, sorted (start, count) leaves).
-
-    Each node sorts its triangles stably by centroid along the axis of its
-    widest centroid extent and splits at the middle index.
-    """
-    tri = mesh.vertices[mesh.triangles]
-    centroids = (tri.min(axis=1) + tri.max(axis=1)) * 0.5
-    order = np.arange(len(tri))
-    leaves = []
-
-    def split(lo, hi):
-        if hi - lo <= leaf_size:
-            leaves.append((lo, hi - lo))
-            return
-        cent = centroids[order[lo:hi]]
-        axis = int(np.argmax(cent.max(axis=0) - cent.min(axis=0)))
-        order[lo:hi] = order[lo:hi][np.argsort(cent[:, axis], kind="stable")]
-        split(lo, (lo + hi) // 2)
-        split((lo + hi) // 2, hi)
-
-    split(0, len(tri))
-    return order, sorted(leaves)
+def oracle_first_hit(mesh: TriMesh, origins, dirs):
+    """Per ray, the oracle's smallest hit ``t``, ties to the lowest triangle id: (t, tri, u, v)."""
+    v0, b, c = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    n = len(origins)
+    best_t, best_tri, best_u, best_v = np.full(n, np.inf), np.full(n, -1), np.zeros(n), np.zeros(n)
+    for r in range(n):
+        o, d = (np.broadcast_to(x[r], v0.shape) for x in (origins, dirs))
+        t, u, v, hit = oracle_moller_trumbore(o, d, v0, b - v0, c - v0)
+        ids = np.flatnonzero(hit)
+        if ids.size:
+            i = ids[np.argmin(t[ids])]  # first occurrence of the minimum: the lowest id
+            best_t[r], best_tri[r], best_u[r], best_v[r] = t[i], i, u[i], v[i]
+    return best_t, best_tri, best_u, best_v
 
 
 # ── naive oracles: renderer ──────────────────────────────────────────────

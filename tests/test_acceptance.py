@@ -20,11 +20,9 @@ from vesselxyz import (
     VesselProfile,
     XyzMap,
     assemble_scene,
-    build_bvh,
     build_pair_set,
     chamfer,
     flat_liquid_fill,
-    intersect_rays,
     intersect_rays_brute,
     loss_gradient,
     look_at_camera,
@@ -41,6 +39,7 @@ from vesselxyz import (
     write_pfm,
     write_pgm,
 )
+from vesselxyz.bvh import cast_camera_rays
 from vesselxyz.cli import EXIT_OK, main as cli_main
 from vesselxyz.manifest import manifest_name
 from conftest import (
@@ -334,24 +333,18 @@ def test_c07_renderer_accuracy():
     assert sel.sum() > 500
     assert np.max(np.abs(depth.values[sel] - depth_ana[sel])) <= 2e-3
 
-    # BVH == brute force on 1e4 rays against a <=2000-triangle mesh
-    rng = np.random.default_rng(9007)
-    small = icosphere(3, radius=0.5)  # 1280 triangles
-    n = 10000
-    dirs_r = rng.normal(size=(n, 3))
-    dirs_r /= np.linalg.norm(dirs_r, axis=1, keepdims=True)
-    origins_r = dirs_r * -1.5 + rng.uniform(-0.2, 0.2, (n, 3))
-    aim = rng.uniform(-0.4, 0.4, (n, 3)) - origins_r
-    aim /= np.linalg.norm(aim, axis=1, keepdims=True)
-    assert small.num_triangles <= 2000
-    bvh = build_bvh(small)
-    t_fast, tri_fast, _, _ = intersect_rays(bvh, origins_r, aim)
-    t_slow, tri_slow, _, _ = intersect_rays_brute(small, origins_r, aim)
-    assert float((tri_fast >= 0).mean()) > 0.5
-    np.testing.assert_array_equal(tri_fast, tri_slow)
-    np.testing.assert_array_equal(t_fast, t_slow)
+    # cast == brute force on every pixel ray of a 96x96 camera aimed at a
+    # 1280-triangle sphere
+    small = icosphere(3, radius=0.5)
+    cam = look_at_camera((0.4, 0.9, 1.2), (0.0, 0.0, 0.0),
+                         fx=90.0, fy=90.0, cx=47.5, cy=47.5, width=96, height=96)
+    origins, dirs, _ = camera_rays(cam)
+    t_cast = cast_camera_rays(small, cam, dirs)
+    t_brute, tri_brute, _, _ = intersect_rays_brute(small, origins, dirs)
+    assert 0.0 < float((tri_brute >= 0).mean()) < 1.0
+    assert t_cast.tobytes() == t_brute.tobytes()
     elapsed = time.perf_counter() - t0
-    _passes("7 renderer accuracy (plane 1e-9, sphere/cylinder 2e-3, BVH==brute)", elapsed)
+    _passes("7 renderer accuracy (plane 1e-9, sphere/cylinder 2e-3, cast==brute)", elapsed)
 
 
 def test_c08_procgen_fidelity(tmp_path):

@@ -1,12 +1,13 @@
-"""BVH build and traversal, and the binned camera cast, against naive oracles.
+"""Ray/triangle kernel, brute force and binned camera cast, against naive oracles.
 
-The ray/triangle kernel is checked bit for bit against the ``np.cross`` /
-``einsum`` formulation in ``conftest``; ``intersect_rays_brute`` shares the
-kernel, so BVH == brute force alone could not catch a changed summation
-order.  The tree is checked for structure and against a recursive build.
-The camera cast is checked against brute force over random pinhole cameras
-and meshes built to hit the edge cases of its per-row span rule, and on
-real scenes' ground and opening at full size.
+The kernel is checked bit for bit against the ``np.cross`` / ``einsum``
+formulation in ``conftest``, and ``intersect_rays_brute`` against a per-ray
+scan of that formulation.  The camera cast shares the kernel with the brute
+force, so cast == brute force alone could not catch a changed summation
+order.  The cast is checked against the brute force over random pinhole
+cameras and meshes built to hit the edge cases of its per-row span rule, on
+real scenes' ground and opening at full size, and at focal lengths whose
+span ends overflow.
 """
 
 import numpy as np
@@ -14,15 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vesselxyz import PinholeCamera, TriMesh, build_bvh, intersect_rays, intersect_rays_brute
+from vesselxyz import PinholeCamera, TriMesh, intersect_rays_brute
 from vesselxyz.bvh import (
-    CAST_MARGIN_PX, CAST_Z_EPS, LEAF_SIZE, T_MIN, _moller_trumbore, _origin_terms,
-    cast_camera_rays,
+    CAST_MARGIN_PX, CAST_Z_EPS, T_MIN, _moller_trumbore, _origin_terms, cast_camera_rays,
 )
 from vesselxyz.procgen import SceneConfig, assemble_scene
 from vesselxyz.renderer import camera_rays
 
-from conftest import icosphere, oracle_bvh_leaves, oracle_moller_trumbore, random_rotation
+from conftest import oracle_first_hit, oracle_moller_trumbore, random_rotation
 
 X, Y, Z = np.eye(3)
 
@@ -101,7 +101,7 @@ class TestKernel:
         assert 0.05 < np.mean(hits) < 0.5
 
     def test_bitwise_with_one_origin_and_per_triangle_rows(self):
-        # the cast's boxed form: 2000 triangles, each pair reads its triangle's row
+        # the cast's span form: 2000 triangles, each pair reads its triangle's row
         rng = np.random.default_rng(20261020)
         n_tris, n = 2000, 60_000
         o = _spread(rng, 1)[0]
@@ -146,80 +146,8 @@ class TestKernel:
         assert hit.any() and not hit.all()
 
 
-@pytest.fixture(scope="module")
-def meshes():
-    scene = assemble_scene(48, SceneConfig())
-    return {
-        "icosphere": icosphere(3, radius=0.5),
-        "vessel": scene.vessel,
-        "content": scene.content,
-        "opening": scene.opening,
-        "ground": scene.ground_plane.to_mesh(),
-    }
-
-
-def _subtree_ranges(bvh) -> dict:
-    """Node -> [lo, hi) of its triangles in ``tri_order``, walking from the root."""
-    ranges = {}
-
-    def walk(node):
-        if bvh.count[node] > 0:
-            ranges[node] = (int(bvh.start[node]), int(bvh.start[node] + bvh.count[node]))
-        else:
-            (lo, mid), (mid2, hi) = walk(bvh.left[node]), walk(bvh.right[node])
-            assert mid == mid2  # children cover adjacent ranges
-            ranges[node] = (lo, hi)
-        return ranges[node]
-
-    walk(0)
-    return ranges
-
-
-@pytest.mark.parametrize("name", ["icosphere", "vessel", "content", "opening", "ground"])
-class TestStructure:
-    def test_every_triangle_in_exactly_one_leaf(self, meshes, name):
-        bvh = build_bvh(meshes[name])
-        leaves = np.flatnonzero(bvh.count > 0)
-        in_leaves = np.concatenate(
-            [bvh.tri_order[bvh.start[i]:bvh.start[i] + bvh.count[i]] for i in leaves]
-        )
-        np.testing.assert_array_equal(np.sort(in_leaves), np.arange(bvh.num_triangles))
-
-    def test_leaf_sizes(self, meshes, name):
-        bvh = build_bvh(meshes[name])
-        leaf = bvh.count > 0
-        assert np.all(bvh.count[leaf] <= LEAF_SIZE)
-        assert np.all((bvh.left[leaf] == -1) & (bvh.right[leaf] == -1))
-
-    def test_node_boxes_are_unions_of_their_triangles(self, meshes, name):
-        mesh = meshes[name]
-        bvh = build_bvh(mesh)
-        corners = mesh.vertices[mesh.triangles]
-        ranges = _subtree_ranges(bvh)
-        assert sorted(ranges) == list(range(len(bvh.left)))  # every node reached once
-        for node, (lo, hi) in ranges.items():
-            tris = corners[bvh.tri_order[lo:hi]]
-            np.testing.assert_array_equal(bvh.bounds_min[node], tris.min(axis=(0, 1)))
-            np.testing.assert_array_equal(bvh.bounds_max[node], tris.max(axis=(0, 1)))
-
-    def test_node_count(self, meshes, name):
-        bvh = build_bvh(meshes[name])
-        assert len(bvh.left) == 2 * int((bvh.count > 0).sum()) - 1
-
-    def test_matches_recursive_build(self, meshes, name):
-        bvh = build_bvh(meshes[name])
-        order, leaves = oracle_bvh_leaves(meshes[name], LEAF_SIZE)
-        np.testing.assert_array_equal(bvh.tri_order, order)
-        leaf = bvh.count > 0
-        assert sorted(zip(bvh.start[leaf].tolist(), bvh.count[leaf].tolist())) == leaves
-
-
-def test_scene_48_vessel_node_count(meshes):
-    assert len(build_bvh(meshes["vessel"]).left) == 4095
-
-
 def _grid_mesh(rng, n_tris: int) -> TriMesh:
-    """Triangles with corners on a 0.25 grid, so boxes share slab planes."""
+    """Triangles with corners on a 0.25 grid, so triangles share planes, edges and corners."""
     corners = rng.integers(-4, 5, (n_tris, 3, 3)) * 0.25
     normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     corners = corners[np.linalg.norm(normal, axis=1) > 1e-6]
@@ -230,15 +158,15 @@ def _grid_mesh(rng, n_tris: int) -> TriMesh:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 48))
-def test_bvh_equals_brute_force_on_random_meshes(seed, n_tris):
+def test_brute_force_equals_oracle_on_random_meshes(seed, n_tris):
     rng = np.random.default_rng(seed)
     mesh = _grid_mesh(rng, n_tris)
     dirs = rng.normal(size=(64, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origins = rng.uniform(-2.0, 2.0, (64, 3))
-    # Axis-parallel rays whose origins lie on slab planes: every coordinate
-    # is a vertex coordinate (a box face of some node), the ray runs along
-    # one axis from outside the mesh or from inside it.
+    # Axis-parallel rays whose origins lie on planes through the vertices:
+    # every coordinate is a vertex coordinate, and the ray runs along one
+    # axis from outside the mesh or from inside it.
     n_par = 96
     axis = rng.integers(0, 3, n_par)
     par_origins = mesh.vertices[rng.integers(0, len(mesh.vertices), (n_par, 3)), [0, 1, 2]]
@@ -251,10 +179,10 @@ def test_bvh_equals_brute_force_on_random_meshes(seed, n_tris):
     origins = np.concatenate([origins, par_origins])
     dirs = np.concatenate([dirs, par_dirs])
 
-    fast = intersect_rays(build_bvh(mesh), origins, dirs)
-    slow = intersect_rays_brute(mesh, origins, dirs)
-    for got, want in zip(fast, slow):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got = intersect_rays_brute(mesh, origins, dirs)
+    want = oracle_first_hit(mesh, origins, dirs)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # ── binned camera cast ───────────────────────────────────────────────────
@@ -428,7 +356,7 @@ def test_cast_covers_hits_of_planes_through_the_camera_center():
 def test_cast_equals_brute_force_at_full_size(seed):
     # At 256x256 a ground triangle of each of these scenes reaches behind
     # the camera, so it is cast against all 65,536 pixels as a whole-image
-    # triangle; the opening fan's triangles are boxed.
+    # triangle; the opening fan's triangles are spanned.
     scene = assemble_scene(seed, SceneConfig())
     assert (scene.camera.width, scene.camera.height) == (256, 256)
     ground = scene.ground_plane.to_mesh()
@@ -437,3 +365,13 @@ def test_cast_equals_brute_force_at_full_size(seed):
     for mesh in (ground, scene.opening):
         _, tri, _, _ = _assert_cast_equals_brute(mesh, scene.camera)
         assert (tri >= 0).any()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("focal", [1e308, 1e200])
+def test_cast_at_overflowing_focal_lengths(focal):
+    # Projected corners lie up to ~focal px from the principal point, so
+    # span ends overflow to +-inf: the cast warns nothing and keeps its bits.
+    scene = assemble_scene(1, SceneConfig(focal_px=focal, resolution=32))
+    for mesh in (scene.vessel, scene.ground_plane.to_mesh(), scene.opening):
+        _assert_cast_equals_brute(mesh, scene.camera)

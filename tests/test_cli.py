@@ -122,6 +122,15 @@ class TestGenerate:
         )
         assert code == EXIT_PARTIAL
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_focal_length_prints_no_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"focal_px": 1e308}')
+        code = main(["generate", "--seeds", "1", "--resolution", "32", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_usage_error(self):
         assert main(["generate", "--out", "/tmp/x"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -169,6 +178,12 @@ class TestGenerate:
             ('{"profile": {"linear_slope": [-1e308, 1e308], "term_count": [4, 4]}}',
              "profile.linear_slope"),
             ('{"camera_azimuth_deg": [-1e308, 1e308]}', "camera_azimuth_deg"),
+            # in the type's range, but the scene's geometry would overflow
+            ('{"ground_half_extent": 1e308}', "ground_half_extent"),
+            ('{"profile": {"height": [1e300, 1e300]}}', "profile.height"),
+            ('{"profile": {"linear_slope": [1e300, 1e300], "term_count": [1, 1]}}',
+             "profile.linear_slope"),
+            ('{"camera_distance": [1e307, 1e308]}', "camera_distance"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
@@ -178,7 +193,8 @@ class TestGenerate:
              "zero-min-radius", "one-profile-sample", "no-retries", "nested-too-deep",
              "huge-resolution", "huge-angular-segments", "huge-vertical-segments",
              "huge-profile-samples", "huge-poly-degrees", "overflowing-slope-range",
-             "overflowing-azimuth-range"],
+             "overflowing-azimuth-range", "huge-ground", "huge-height", "huge-slope",
+             "huge-camera-distance"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
@@ -236,16 +252,6 @@ class TestGenerate:
         failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED seed" in line]
         assert len(failed) == 3
         assert all("degenerate" in line for line in failed)
-
-    def test_overflowing_ground_fails_its_seed(self, tmp_path, capsys):
-        # every ground triangle's area overflows to inf: the seed fails
-        # instead of rendering a scene without a ground
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ground_half_extent": 1e300}))
-        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "16",
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_PARTIAL
-        assert "FAILED seed 1: " in capsys.readouterr().err
 
     def test_console_script_entrypoint(self):
         # runs the [project.scripts] entry point the way pip's generated

@@ -223,11 +223,16 @@ class TestMeshOrder:
     "field, cap",
     [("resolution", 8192), ("angular_segments", 8192), ("vertical_segments", 8192),
      ("profile.samples", 2**20), ("profile.max_retries", 10_000), ("profile.term_count", 64),
-     ("profile.poly_degrees", 1024)],
+     ("profile.poly_degrees", 1024), ("camera_distance", 1e6), ("ground_half_extent", 1e6),
+     ("profile.height", 1e6), ("profile.base_radius", 1e6), ("profile.linear_slope", 1e6),
+     ("profile.poly_coefficient", 1e6), ("profile.sin_amplitude_scale", 1e6)],
 )
 def test_config_size_fields_are_capped(field, cap):
     def doc(value):
-        if field in ("profile.term_count", "profile.poly_degrees"):  # a range: both ends are checked
+        default = SceneConfig().to_dict()
+        for key in field.split("."):
+            default = default[key]
+        if isinstance(default, tuple):  # a range: both ends are checked
             value = [1, value]
         for key in reversed(field.split(".")):
             value = {key: value}
@@ -236,6 +241,13 @@ def test_config_size_fields_are_capped(field, cap):
     SceneConfig.from_dict(doc(cap))  # a config builds no mesh or image, so this allocates nothing
     with pytest.raises(MalformedConfig, match=f"'{field}': must be <= {cap}"):
         SceneConfig.from_dict(doc(cap + 1))
+
+
+@pytest.mark.parametrize("field", ["linear_slope", "poly_coefficient", "sin_amplitude_scale"])
+def test_config_signed_profile_fields_are_capped_below(field):
+    SceneConfig.from_dict({"profile": {field: [-1e6, 0.0]}})
+    with pytest.raises(MalformedConfig, match=f"'profile.{field}': must be >= -1000000.0"):
+        SceneConfig.from_dict({"profile": {field: [-1e6 - 1, 0.0]}})
 
 
 class TestAssembleScene:
