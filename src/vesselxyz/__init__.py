@@ -48,7 +48,6 @@ from .losses import (
     loss_gradient,
     scale_factor,
     scale_invariant_loss,
-    translation_consistency_loss,
     translation_invariant_loss,
 )
 from .metrics import (

@@ -11,6 +11,7 @@ parsed and fail as ``_UsageError``; every other failure is a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -111,6 +112,7 @@ def _probe_writable(out_dir: Path) -> None:
     probe.unlink()
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vesselxyz", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vesselxyz {__version__}")

@@ -399,11 +399,11 @@ def pair_differences(xyz: XyzMap, pairs: PairSet) -> np.ndarray:
         raise DimensionMismatch(
             f"pair set built for {pairs.shape}, map is {(xyz.height, xyz.width)}"
         )
-    flat_valid = xyz.valid.reshape(-1)
-    if len(pairs) and not (
-        np.all(flat_valid[pairs.first]) and np.all(flat_valid[pairs.second])
-    ):
-        raise InvalidEndpoint("pair set references invalid pixels")
     flat = xyz.coords.reshape(-1, 3)
     diff = np.take(flat, pairs.first, axis=0)
-    return np.subtract(diff, np.take(flat, pairs.second, axis=0), out=diff)
+    np.subtract(diff, np.take(flat, pairs.second, axis=0), out=diff)
+    # valid coords are finite and invalid ones NaN, so a difference is NaN
+    # exactly when an endpoint is invalid (overflow gives +-inf, not NaN)
+    if len(pairs) and np.isnan(diff.min()):
+        raise InvalidEndpoint("pair set references invalid pixels")
+    return diff

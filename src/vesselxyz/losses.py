@@ -9,6 +9,10 @@ Sign conventions: sign(0) = 0 at |.| kinks; K is a stop-gradient constant in
 the main scale-invariant term, but the out-of-range control term (+K above
 the ceiling, -K below the floor) is differentiable through K so it can steer
 the prediction scale back into range.
+
+Buffer reuse: each call works in place (``out=``) on its own two gathers of
+pair differences instead of allocating an array per arithmetic step, and never
+writes into a caller's array; the bits are those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScale, DimensionMismatch, EmptyPairSet, InvalidValue
-from .geometry import PairSet, SegMask, XyzMap, masked_points, pair_differences
+from .geometry import PairSet, XyzMap, pair_differences
 
 SCALE_CEILING = 10.0
 SCALE_FLOOR = 0.1
@@ -55,9 +59,7 @@ def _paired_differences(pred: XyzMap, gt: XyzMap, pairs: PairSet):
         raise DimensionMismatch("prediction and ground truth differ in size")
     if len(pairs) == 0:
         raise EmptyPairSet("no pixel pairs to compare")
-    d_gt = pair_differences(gt, pairs)
-    d_pred = pair_differences(pred, pairs)
-    return d_gt, d_pred
+    return pair_differences(gt, pairs), pair_differences(pred, pairs)
 
 
 def translation_invariant_loss(pred: XyzMap, gt: XyzMap, pairs: PairSet) -> LossReport:
@@ -67,7 +69,7 @@ def translation_invariant_loss(pred: XyzMap, gt: XyzMap, pairs: PairSet) -> Loss
     unchanged, because constant offsets cancel inside each difference.
     """
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
-    value = float(np.mean(np.abs(d_gt - d_pred)))
+    value = float(np.mean(np.abs(np.subtract(d_gt, d_pred, out=d_gt), out=d_gt)))
     return LossReport(value, None, False, len(pairs))
 
 
@@ -76,8 +78,6 @@ def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray):
 
     Returns (ScaleFactor, keep, num, den) with num and den the mean absolute
     GT and predicted differences over the sign-consistent entries ``keep``.
-    DegenerateScale when fewer than ``MIN_SCALE_PAIRS`` entries are kept or
-    the predicted mean is numerically zero.
     """
     keep = (d_gt * d_pred) > 0.0
     n_keep = int(np.count_nonzero(keep))
@@ -85,10 +85,13 @@ def _scale_terms(d_gt: np.ndarray, d_pred: np.ndarray):
         raise DegenerateScale(
             f"only {n_keep} sign-consistent pair entries, need at least {MIN_SCALE_PAIRS}"
         )
-    den = float(np.mean(np.abs(d_pred[keep])))
+    kept = d_pred[keep]
+    den = float(np.mean(np.abs(kept, out=kept)))
     if den < DENOMINATOR_FLOOR:
         raise DegenerateScale(f"predicted differences vanish (mean {den})")
-    num = float(np.mean(np.abs(d_gt[keep])))
+    del kept  # freed before the second gather takes its place
+    kept = d_gt[keep]
+    num = float(np.mean(np.abs(kept, out=kept)))
     return ScaleFactor(num / den, n_keep), keep, num, den
 
 
@@ -129,38 +132,23 @@ def scale_invariant_loss(
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
     if k is None:
         k = _scale_terms(d_gt, d_pred)[0]
-    value = float(np.mean(np.abs(d_gt - k.k * d_pred)))
+    np.subtract(d_gt, np.multiply(d_pred, k.k, out=d_pred), out=d_gt)
+    value = float(np.mean(np.abs(d_gt, out=d_gt)))
     extra, active = _control_term(k.k)
     return LossReport(value + extra, k, active, len(pairs))
-
-
-def translation_consistency_loss(
-    pred_vessel: XyzMap,
-    pred_content: XyzMap,
-    gt_vessel: XyzMap,
-    gt_content: XyzMap,
-    overlap: SegMask,
-) -> LossReport:
-    """Penalty on per-pixel vessel-minus-content offsets differing from GT.
-
-    Over pixels where vessel and content overlap, compares the GT offset
-    (vessel - content) against the predicted one; a translation applied to
-    both predicted objects cancels, so only relative placement is scored.
-    Each map's overlap points come from :func:`masked_points`, with its errors.
-    """
-    pv, pc, gv, gc = (
-        masked_points(m, overlap) for m in (pred_vessel, pred_content, gt_vessel, gt_content)
-    )
-    value = float(np.mean(np.abs((gv - gc) - (pv - pc))))
-    return LossReport(value, None, False, overlap.count)
 
 
 def _scatter_pair_grad(pairs: PairSet, per_pair: np.ndarray) -> np.ndarray:
     """Sum per-pair (N, 3) rows onto the grid: every +row at first, then every -row at second."""
     h, w = pairs.shape
     idx = np.concatenate([pairs.first, pairs.second])
-    cols = [np.bincount(idx, np.concatenate([c, -c]), h * w) for c in per_pair.T]
-    return np.stack(cols, axis=1).reshape(h, w, 3)
+    weights = np.empty((2, len(pairs)))  # [+column, -column], in idx order
+    grad = np.empty((h * w, 3))
+    for axis, column in enumerate(per_pair.T):
+        weights[0] = column
+        np.negative(column, out=weights[1])
+        grad[:, axis] = np.bincount(idx, weights.reshape(-1), h * w)
+    return grad.reshape(h, w, 3)
 
 
 def loss_gradient(
@@ -185,18 +173,27 @@ def loss_gradient(
     d_gt, d_pred = _paired_differences(pred, gt, pairs)
     n_terms = d_gt.size  # 3 * |pairs|
 
+    # the per-pair terms overwrite d_pred
     if loss_kind == "translation_invariant":
-        return _scatter_pair_grad(pairs, np.sign(d_pred - d_gt) / n_terms)
-
-    supplied = k is not None
-    if not supplied:
-        k, keep, num, den = _scale_terms(d_gt, d_pred)
-    per_pair = k.k * np.sign(k.k * d_pred - d_gt) / n_terms
-    _, active = _control_term(k.k)
-    if active and not supplied:
-        # d(+K)/dD_pred_j = -(num/den^2) * sign(D_pred_j) / M on the
-        # sign-consistent entries; the -K branch flips the sign.
-        dk = np.zeros_like(d_pred)
-        dk[keep] = -(num / den**2) * np.sign(d_pred[keep]) / k.valid_pair_count
-        per_pair = per_pair + (dk if k.k > SCALE_CEILING else -dk)
-    return _scatter_pair_grad(pairs, per_pair)
+        np.sign(np.subtract(d_pred, d_gt, out=d_pred), out=d_pred)
+        np.divide(d_pred, n_terms, out=d_pred)
+    else:
+        supplied = k is not None
+        if not supplied:
+            k, keep, num, den = _scale_terms(d_gt, d_pred)
+        # k * sign(k * d_pred - d_gt) / n_terms, where (k * s) / n == s * (k / n)
+        # exactly for s in {-1, 0, 1}
+        np.subtract(np.multiply(d_pred, k.k, out=d_pred), d_gt, out=d_pred)
+        np.multiply(np.sign(d_pred, out=d_pred), k.k / n_terms, out=d_pred)
+        if _control_term(k.k)[1] and not supplied:
+            # d(+K)/dD_pred_j = -(num/den^2) * sign(D_pred_j) / M where kept, 0
+            # elsewhere; -K flips the sign.  Where kept sign(D_pred) ==
+            # sign(D_gt) = +-1, so the term is exactly -+step: copysign into
+            # d_gt's buffer, +-0 elsewhere (which changes no per-pair term, as
+            # sign() never gives -0.0).
+            step = num / den**2 / k.valid_pair_count
+            np.multiply(np.copysign(step, d_gt, out=d_gt), keep, out=d_gt)
+            ufunc = np.subtract if k.k > SCALE_CEILING else np.add
+            ufunc(d_pred, d_gt, out=d_pred)
+    del d_gt  # freed before the scatter allocates its own buffers
+    return _scatter_pair_grad(pairs, d_pred)

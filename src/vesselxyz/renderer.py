@@ -65,7 +65,9 @@ def camera_rays(camera: PinholeCamera):
     x = (np.arange(camera.width, dtype=np.float64) - camera.cx) / camera.fx
     y = ((np.arange(camera.height, dtype=np.float64) - camera.cy) / camera.fy)[:, None]
     norm = np.sqrt((x * x + y * y) + 1.0)  # summed as norm(axis=-1) sums (x, y, 1)
-    unit = np.stack([x / norm, y / norm, 1.0 / norm]).reshape(3, -1)
+    unit = np.empty((3, norm.size))
+    for row, axis in zip(unit, (x, y, 1.0)):
+        np.divide(axis, norm, out=row.reshape(norm.shape))
     dirs = np.matmul(unit.T, camera.rotation, out=np.empty_like(unit).T)  # row-wise R^T @ d
     return np.broadcast_to(camera.center, dirs.shape), dirs, unit[2]
 

@@ -158,6 +158,30 @@ def oracle_scatter_pair_grad(pairs, per_pair: np.ndarray) -> np.ndarray:
     return grad.reshape(h, w, 3)
 
 
+def oracle_loss_gradient(kind, pred, gt, pairs, k=None) -> np.ndarray:
+    """The gradient's plain formulas on fresh arrays, through both oracles above.
+
+    Translation-invariant: sign(D_pred - D_gt) / n.  Scale-invariant:
+    K * sign(K * D_pred - D_gt) / n, plus, when K is computed here and out of
+    [0.1, 10], the control term's dK (+K above, -K below) on the sign-consistent
+    entries: -(num / den^2) * sign(D_pred) / M.
+    """
+    d_gt, d_pred = oracle_pair_differences(gt, pairs), oracle_pair_differences(pred, pairs)
+    n = d_gt.size
+    if kind == "translation_invariant":
+        return oracle_scatter_pair_grad(pairs, np.sign(d_pred - d_gt) / n)
+    keep = (d_gt * d_pred) > 0.0
+    num = float(np.mean(np.abs(d_gt[keep])))
+    den = float(np.mean(np.abs(d_pred[keep])))
+    kk = num / den if k is None else k
+    per_pair = kk * np.sign(kk * d_pred - d_gt) / n
+    if k is None and not 0.1 <= kk <= 10.0:
+        dk = np.zeros_like(d_pred)
+        dk[keep] = -(num / den**2) * np.sign(d_pred[keep]) / np.count_nonzero(keep)
+        per_pair = per_pair + (dk if kk > 10.0 else -dk)
+    return oracle_scatter_pair_grad(pairs, per_pair)
+
+
 # ── oracles: formats ───────────────────────────────────────────────────────
 
 def oracle_obj_text(mesh: TriMesh) -> str:

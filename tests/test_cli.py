@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vesselxyz
-from vesselxyz import read_depth_pfm, read_xyz_pfm, write_pfm, write_pgm
+from vesselxyz import cli, read_depth_pfm, read_xyz_pfm, write_pfm, write_pgm
 from vesselxyz.cli import (
     EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _UsageError, main, parse_seeds,
 )
@@ -328,6 +328,37 @@ def test_bad_flag_is_usage_error(gt_batch, tmp_path, capsys, argv, flag):
     assert main(argv + files) == EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_repeated_main_calls_share_no_flag_values(monkeypatch, capsys):
+    # main reuses one parser per process: each call must see what a fresh
+    # parser gives for its own argv, whatever ran before it, usage errors too
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(
+        cli._COMMANDS, lambda args: seen.append(vars(args)) or EXIT_OK))
+    runs = [
+        (["generate", "--seeds", "1..2", "--out", "a", "--config", "c.json",
+          "--resolution", "32", "--no-meshes"], EXIT_OK),
+        (["eval", "--gt", "g", "--pred", "p", "--mode", "segmentation",
+          "--dilations", "1,2", "--out", "o"], EXIT_OK),
+        (["eval", "--gt", "g", "--pred", "p", "--dilations", "3", "--mode", "bogus"], EXIT_USAGE),
+        (["clean-depth", "--depth", "d", "--mask", "m", "--out", "o", "--fx", "5",
+          "--max-offset", "0.5"], EXIT_OK),
+        (["generate", "--seeds", "-4", "--out", "b", "--no-meshes"], EXIT_USAGE),
+        (["generate", "--seeds", "7", "--out", "b"], EXIT_OK),
+        (["eval", "--gt", "g", "--pred", "p", "--mode", "vessel-scale"], EXIT_OK),
+        (["loss", "--pred", "p", "--gt", "g", "--mask", "m", "--kind", "scale_invariant"],
+         EXIT_OK),
+        (["clean-depth", "--depth", "d", "--mask", "m", "--out", "o"], EXIT_OK),
+    ]
+    fresh_parser = cli._build_parser.__wrapped__
+    for argv, code in runs:
+        assert main(argv) == code
+        if code == EXIT_OK:
+            assert seen.pop() == vars(fresh_parser().parse_args(argv))
+    assert not seen
+    assert "usage error" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestRender:

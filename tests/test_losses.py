@@ -5,7 +5,6 @@ import pytest
 
 from vesselxyz import (
     DegenerateScale,
-    EmptyMask,
     EmptyPairSet,
     InvalidValue,
     ScaleFactor,
@@ -15,7 +14,6 @@ from vesselxyz import (
     loss_gradient,
     scale_factor,
     scale_invariant_loss,
-    translation_consistency_loss,
     translation_invariant_loss,
 )
 from conftest import (
@@ -24,7 +22,6 @@ from conftest import (
     oracle_scale_factor,
     oracle_scale_invariant,
     oracle_translation_invariant,
-    random_mask,
     random_xyz,
 )
 
@@ -252,52 +249,3 @@ class TestScaleInvariantLoss:
             assert scale_invariant_loss(pred, gt, pairs).value == (
                 oracle_scale_invariant(pred, gt, pairs)
             )
-
-
-class TestTranslationConsistencyLoss:
-    def _maps(self, rng, h=6, w=6):
-        gt_v = random_xyz(rng, h, w)
-        gt_c = random_xyz(rng, h, w)
-        return gt_v, gt_c
-
-    def test_common_shift_cancels(self):
-        rng = np.random.default_rng(16)
-        gt_v, gt_c = self._maps(rng)
-        shift = np.array([0.4, -1.1, 2.0])
-        pred_v = XyzMap(gt_v.coords + shift, gt_v.valid)
-        pred_c = XyzMap(gt_c.coords + shift, gt_c.valid)
-        overlap = full_mask(6, 6)
-        r = translation_consistency_loss(pred_v, pred_c, gt_v, gt_c, overlap)
-        assert r.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_maps_zero(self):
-        rng = np.random.default_rng(17)
-        gt_v, gt_c = self._maps(rng)
-        r = translation_consistency_loss(gt_v, gt_c, gt_v, gt_c, full_mask(6, 6))
-        assert r.value == 0.0
-
-    def test_content_offset_hand_value(self):
-        # pred content shifted by (delta, 0, 0): |delta| shows on 1 of 3 axes
-        rng = np.random.default_rng(18)
-        gt_v, gt_c = self._maps(rng)
-        delta = 0.75
-        pred_c = XyzMap(gt_c.coords + np.array([delta, 0.0, 0.0]), gt_c.valid)
-        r = translation_consistency_loss(gt_v, pred_c, gt_v, gt_c, full_mask(6, 6))
-        assert r.value == pytest.approx(delta / 3.0, rel=1e-12)
-
-    def test_empty_overlap_raises(self):
-        rng = np.random.default_rng(19)
-        gt_v, gt_c = self._maps(rng)
-        with pytest.raises(EmptyMask):
-            translation_consistency_loss(
-                gt_v, gt_c, gt_v, gt_c, SegMask(np.zeros((6, 6), bool))
-            )
-
-    def test_partial_overlap_only_counts_masked_pixels(self):
-        rng = np.random.default_rng(20)
-        gt_v, gt_c = self._maps(rng)
-        pred_c = XyzMap(gt_c.coords + np.array([0.3, 0.0, 0.0]), gt_c.valid)
-        overlap = random_mask(rng, 6, 6, density=0.4)
-        r = translation_consistency_loss(gt_v, pred_c, gt_v, gt_c, overlap)
-        assert r.value == pytest.approx(0.1, rel=1e-12)
-        assert r.pair_count == overlap.count
