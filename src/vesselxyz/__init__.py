@@ -12,20 +12,13 @@ from .errors import (
     DegenerateScale,
     DimensionMismatch,
     EmptyMask,
-    EmptyPairSet,
-    EmptyScene,
-    EmptySet,
     GenerationFailed,
     InvalidEndpoint,
-    InvalidResolution,
     InvalidValue,
     MalformedConfig,
     MalformedHeader,
     MalformedManifest,
-    MissingPrediction,
-    NonPositiveDepth,
     TooFewPoints,
-    TruncatedPayload,
     VesselXyzError,
 )
 from .geometry import (

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyScene, InvalidValue
+from .errors import InvalidValue
 from .geometry import PinholeCamera, TriMesh
 
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
@@ -102,7 +102,7 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     bit for bit; ``+inf`` on a miss.
     """
     if mesh.is_empty:
-        raise EmptyScene("cannot intersect an empty mesh")
+        raise InvalidValue("cannot intersect an empty mesh")
     w, h = camera.width, camera.height
     # Per-axis rows of per-corner arrays: each vertex is projected once, then gathered.
     corners = mesh.triangles.T.copy()
@@ -188,7 +188,7 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray):
     tests about ``BRUTE_PAIRS`` (ray, triangle) pairs.
     """
     if mesh.is_empty:
-        raise EmptyScene("cannot intersect an empty mesh")
+        raise InvalidValue("cannot intersect an empty mesh")
     verts, tris = mesh.vertices, mesh.triangles
     tv0 = verts[tris[:, 0]]
     te1, te2 = verts[tris[:, 1]] - tv0, verts[tris[:, 2]] - tv0

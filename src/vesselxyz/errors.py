@@ -6,23 +6,20 @@ class VesselXyzError(Exception):
 
 
 class InvalidValue(VesselXyzError, ValueError):
-    """An argument or input value lies outside its domain (e.g. a non-positive focal length)."""
+    """An argument or input value lies outside its domain.
+
+    For example a non-positive focal length or depth, a non-finite coordinate,
+    too few mesh segments, a mesh with no triangles to cast against, or a
+    ground-truth directory with no scene manifests.
+    """
 
 
 class DimensionMismatch(VesselXyzError):
     """Two maps/masks/cameras that must share dimensions do not."""
 
 
-class NonPositiveDepth(VesselXyzError):
-    """A valid pixel carries depth (or Z) that is zero, negative, or non-finite."""
-
-
 class EmptyMask(VesselXyzError):
     """A mask that must select at least one pixel selects none."""
-
-
-class EmptyPairSet(VesselXyzError):
-    """A pair set that must contain at least one pixel pair is empty."""
 
 
 class InvalidEndpoint(VesselXyzError):
@@ -38,31 +35,15 @@ class DegenerateGT(VesselXyzError):
 
 
 class TooFewPoints(VesselXyzError):
-    """An operation needs more points than the mask provides."""
-
-
-class EmptySet(VesselXyzError):
-    """A point set that must be nonempty is empty."""
-
-
-class InvalidResolution(VesselXyzError):
-    """Mesh tessellation parameters below their minimum."""
+    """An operation needs more points, or pixel pairs, than its input provides."""
 
 
 class GenerationFailed(VesselXyzError):
     """Procedural generation exhausted its retry budget."""
 
 
-class EmptyScene(VesselXyzError):
-    """Rendering was asked to cast rays against zero triangles."""
-
-
 class MalformedHeader(VesselXyzError):
-    """A PFM/PGM file header is not what the reader expects."""
-
-
-class TruncatedPayload(VesselXyzError):
-    """A PFM/PGM file ends before its declared payload does."""
+    """A PFM/PGM header is not what the reader expects, or declares more payload than the file holds."""
 
 
 class MalformedConfig(VesselXyzError):
@@ -71,10 +52,3 @@ class MalformedConfig(VesselXyzError):
 
 class MalformedManifest(VesselXyzError):
     """A scene manifest is not valid JSON or lacks or garbles a field."""
-
-
-class MissingPrediction(VesselXyzError):
-    """An evaluation's ground-truth directory holds no ``*_manifest.json``.
-
-    A missing prediction file is not an error: it gives an absent report row.
-    """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InvalidValue, MalformedManifest, MissingPrediction, VesselXyzError
+from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
 from .geometry import valid_region
 from .manifest import ROLES, SceneManifest, load_manifest
@@ -110,7 +110,7 @@ def run_eval(gt_dir, pred_dir, mode: str, dilations=None) -> ReportDocument:
         raise InvalidValue(f"mode must be one of {MODES}, got {mode!r}")
     manifest_paths = find_manifests(gt_dir)
     if not manifest_paths:
-        raise MissingPrediction(f"no *_manifest.json files under {gt_dir}")
+        raise InvalidValue(f"no *_manifest.json files under {gt_dir}")
     rows = []
     for path in manifest_paths:
         rows.extend(evaluate_scene(load_manifest(path), gt_dir, pred_dir, mode, dilations))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedPayload
+from .errors import MalformedHeader
 from .geometry import DepthMap, SegMask, TriMesh, XyzMap
 
 _PFM_SCALE = -1.0  # little-endian
@@ -55,7 +55,7 @@ def _read_grid(path, magic: bytes, last_type, pixel_bytes: int):
         size = width * height * pixel_bytes
         left = os.fstat(f.fileno()).st_size - f.tell()
         if size > left:
-            raise TruncatedPayload(f"{path}: expected {size} payload bytes, got {left}")
+            raise MalformedHeader(f"{path}: expected {size} payload bytes, got {left}")
         return width, height, last, f.read(size)
 
 

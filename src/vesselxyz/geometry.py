@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyMask,
-    InvalidEndpoint,
-    InvalidValue,
-    NonPositiveDepth,
-)
+from .errors import DimensionMismatch, EmptyMask, InvalidEndpoint, InvalidValue
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64)
 MIN_TRIANGLE_AREA = 1e-12
@@ -89,7 +83,7 @@ def _init_map(m, field: str, pixel: tuple, positive: bool) -> None:
     sel = values[valid]
     if not np.all(np.isfinite(sel)) or (positive and not np.all(sel > 0.0)):
         need = "finite and positive" if positive else "finite"
-        raise NonPositiveDepth(f"valid pixels must have {need} {field}")
+        raise InvalidValue(f"valid pixels must have {need} {field}")
     fill = valid[..., None] if pixel else valid
     object.__setattr__(m, field, _frozen(np.where(fill, values, np.nan)))
     object.__setattr__(m, "valid", _frozen(valid))

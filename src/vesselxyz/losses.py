@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScale, DimensionMismatch, EmptyPairSet, InvalidValue
+from .errors import DegenerateScale, DimensionMismatch, InvalidValue, TooFewPoints
 from .geometry import PairSet, XyzMap, pair_differences
 
 SCALE_CEILING = 10.0
@@ -58,7 +58,7 @@ def _paired_differences(pred: XyzMap, gt: XyzMap, pairs: PairSet):
     if (pred.height, pred.width) != (gt.height, gt.width):
         raise DimensionMismatch("prediction and ground truth differ in size")
     if len(pairs) == 0:
-        raise EmptyPairSet("no pixel pairs to compare")
+        raise TooFewPoints("no pixel pairs to compare")
     return pair_differences(gt, pairs), pair_differences(pred, pairs)
 
 

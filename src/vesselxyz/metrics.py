@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGT, DimensionMismatch, EmptySet, InvalidValue, TooFewPoints
+from .errors import DegenerateGT, DimensionMismatch, InvalidValue, TooFewPoints
 from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
 from .losses import scale_factor
 
@@ -159,7 +159,7 @@ def chamfer(pred_points: np.ndarray, gt_points: np.ndarray) -> float:
     p = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
     g = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
     if len(p) == 0 or len(g) == 0:
-        raise EmptySet("chamfer needs two nonempty point sets")
+        raise TooFewPoints("chamfer needs two nonempty point sets")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(g))):
         raise InvalidValue("chamfer needs finite points")
     return float(np.mean(_nearest(p, g)) + np.mean(_nearest(g, p)))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidResolution, InvalidValue, MalformedConfig
+from .errors import GenerationFailed, InvalidValue, MalformedConfig
 from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, _frozen
 
 _FILL_SALT = 11
@@ -34,6 +34,8 @@ _MAX_DEGREE = 1024
 _MAX_RETRIES = 10_000
 # Cap on lengths (meters) and profile coefficients; values near the float range overflow a scene.
 _MAX_MAGNITUDE = 1e6
+# Floor on focal_px; smaller focal lengths overflow the camera rays.
+_MIN_MAGNITUDE = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ class VesselProfile:
 
     def __post_init__(self):
         if not 2 <= self.samples <= _MAX_SAMPLES:
-            raise InvalidResolution(f"profile needs 2 to {_MAX_SAMPLES} knots, got {self.samples}")
+            raise InvalidValue(f"profile needs 2 to {_MAX_SAMPLES} knots, got {self.samples}")
         if not (self.base_radius > 0 and self.height > 0):
             raise InvalidValue("base_radius and height must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -151,13 +153,14 @@ class ProfileConfig:
 
 
 # (comparison, bound) pairs every value of a field, or both ends of a range
-# field, must meet; SceneConfig.from_dict also needs wall_clearance < min_radius.
+# field, must meet; SceneConfig.from_dict also needs wall_clearance < min_radius
+# < base_radius[1].
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 _CONFIG_BOUNDS = {
     "angular_segments": ((">", 2), ("<=", _MAX_SEGMENTS)),
     "vertical_segments": ((">", 1), ("<=", _MAX_SEGMENTS)),
     "resolution": ((">", 0), ("<=", _MAX_RESOLUTION)),
-    "focal_px": ((">", 0.0),),
+    "focal_px": ((">=", _MIN_MAGNITUDE),),
     "wall_clearance": ((">", 0.0),),
     "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
     "camera_distance": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
@@ -298,7 +301,7 @@ def profile_to_mesh(
 ) -> TriMesh:
     """Vessel surface of revolution: closed bottom disk, open top rim."""
     if angular_segments < 3 or vertical_segments < 2:
-        raise InvalidResolution(
+        raise InvalidValue(
             f"need >= 3 angular and >= 2 vertical segments, got {angular_segments}/{vertical_segments}"
         )
     heights = np.linspace(0.0, profile.height, vertical_segments + 1)
@@ -325,7 +328,7 @@ def flat_liquid_fill(
     if not 0.0 <= fill_fraction <= 1.0:
         raise InvalidValue("fill_fraction must lie in [0, 1]")
     if angular_segments < 3 or vertical_segments < 2:
-        raise InvalidResolution("need >= 3 angular and >= 2 vertical segments")
+        raise InvalidValue("need >= 3 angular and >= 2 vertical segments")
     top = fill_fraction * profile.height - clearance
     bottom = clearance
     if top - bottom <= clearance:
@@ -340,7 +343,7 @@ def flat_liquid_fill(
 def opening_plane(profile: VesselProfile, angular_segments: int = 256) -> TriMesh:
     """Flat disk spanning the vessel's top rim."""
     if angular_segments < 3:
-        raise InvalidResolution("need >= 3 angular segments")
+        raise InvalidValue("need >= 3 angular segments")
     return _revolved_mesh(
         np.array([profile.rim_radius]), np.array([profile.height]), angular_segments,
         [(0, True)], "opening",
@@ -394,6 +397,11 @@ class SceneConfig:
             raise MalformedConfig(
                 f"field 'wall_clearance': must be < profile.min_radius {limit}, got {clearance}"
             )
+        top = config.profile.base_radius[1]
+        if limit >= top:  # a profile's first knot radius is its base radius, at most top
+            raise MalformedConfig(
+                f"field 'profile.min_radius': must be < profile.base_radius[1] {top}, got {limit}"
+            )
         return config
 
 
@@ -413,17 +421,12 @@ class SceneRecord:
     fill_fraction: float
 
 
-def look_at_camera(
-    eye,
-    target,
-    fx: float,
-    fy: float,
-    cx: float,
-    cy: float,
-    width: int,
-    height: int,
-) -> PinholeCamera:
-    """Camera at ``eye`` looking toward ``target`` (CV frame: X right, Y down, Z forward)."""
+def look_at_camera(eye, target, focal_px: float, resolution: int) -> PinholeCamera:
+    """Square camera at ``eye`` looking toward ``target`` (CV frame: X right, Y down, Z forward).
+
+    The image is ``resolution`` pixels on a side, with focal length ``focal_px``
+    on both axes and the principal point at the image center.
+    """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - eye
@@ -438,8 +441,9 @@ def look_at_camera(
     right = right / np.linalg.norm(right)
     down = np.cross(forward, right)
     rotation = np.stack([right, down, forward])
+    center = (resolution - 1) / 2.0
     return PinholeCamera(
-        fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
+        fx=focal_px, fy=focal_px, cx=center, cy=center, width=resolution, height=resolution,
         rotation=rotation, translation=-rotation @ eye,
     )
 
@@ -489,13 +493,7 @@ def assemble_scene(seed: int, config: SceneConfig | None = None) -> SceneRecord:
             math.cos(elevation) * math.cos(azimuth),
         ]
     )
-    res = config.resolution
-    camera = look_at_camera(
-        eye=target + offset, target=target,
-        fx=config.focal_px, fy=config.focal_px,
-        cx=(res - 1) / 2.0, cy=(res - 1) / 2.0,
-        width=res, height=res,
-    )
+    camera = look_at_camera(target + offset, target, config.focal_px, config.resolution)
     return SceneRecord(
         seed=seed,
         profile=profile,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvh import cast_camera_rays
-from .errors import EmptyScene
+from .errors import InvalidValue
 from .geometry import (
     DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz, masked_points, valid_region,
 )
@@ -114,7 +114,7 @@ def render_scene(scene: SceneRecord) -> RenderOutput:
     the content over the ground.
     """
     if scene.opening.is_empty:
-        raise EmptyScene("scene has no opening disk")
+        raise InvalidValue("scene has no opening disk")
     camera = scene.camera
     meshes = [scene.vessel, scene.content, scene.ground_plane.to_mesh(), scene.opening]
     (vessel, content, ground, opening), axial = _first_hit_table(meshes, camera)

@@ -313,8 +313,7 @@ def test_c07_renderer_accuracy():
     r, hgt, d = 0.06, 0.3, 0.5
     prof = VesselProfile((), base_radius=r, height=hgt, samples=64)
     mesh = profile_to_mesh(prof, 512, 8)
-    cam = look_at_camera((0.0, hgt / 2, d), (0.0, hgt / 2, 0.0),
-                         fx=300.0, fy=300.0, cx=63.5, cy=63.5, width=128, height=128)
+    cam = look_at_camera((0.0, hgt / 2, d), (0.0, hgt / 2, 0.0), focal_px=300.0, resolution=128)
     depth = cast_depth(mesh, cam)
     from vesselxyz.renderer import camera_rays
 
@@ -336,8 +335,7 @@ def test_c07_renderer_accuracy():
     # cast == brute force on every pixel ray of a 96x96 camera aimed at a
     # 1280-triangle sphere
     small = icosphere(3, radius=0.5)
-    cam = look_at_camera((0.4, 0.9, 1.2), (0.0, 0.0, 0.0),
-                         fx=90.0, fy=90.0, cx=47.5, cy=47.5, width=96, height=96)
+    cam = look_at_camera((0.4, 0.9, 1.2), (0.0, 0.0, 0.0), focal_px=90.0, resolution=96)
     origins, dirs, _ = camera_rays(cam)
     t_cast = cast_camera_rays(small, cam, dirs)
     t_brute, tri_brute, _, _ = intersect_rays_brute(small, origins, dirs)

@@ -111,12 +111,14 @@ class TestGenerate:
         assert code == EXIT_DATA
 
     def test_partial_failure_exit_code(self, tmp_path):
-        # base radius below the positivity floor makes every seed fail; the
-        # failures are reported per seed and exit code 3 flags the batch
+        # a profile with no terms keeps its base radius, and a base radius
+        # drawn from this range clears min_radius 0.005 about once in 1e9
+        # draws, so every seed fails; the failures are reported per seed and
+        # exit code 3 flags the batch
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"profile": {"base_radius": [0.004, 0.004], "max_retries": 5}})
-        )
+        cfg.write_text(json.dumps({"profile": {
+            "base_radius": [0.004, 0.005000000001], "term_count": [0, 0], "max_retries": 5,
+        }}))
         code = main(
             ["generate", "--seeds", "1..2", "--config", str(cfg), "--out", str(tmp_path / "o")]
         )
@@ -184,6 +186,12 @@ class TestGenerate:
             ('{"profile": {"linear_slope": [1e300, 1e300], "term_count": [1, 1]}}',
              "profile.linear_slope"),
             ('{"camera_distance": [1e307, 1e308]}', "camera_distance"),
+            # so small that the camera rays overflow
+            ('{"focal_px": 1e-300}', "focal_px"),
+            # no drawn profile can clear min_radius
+            ('{"profile": {"min_radius": 1e300}}', "profile.min_radius"),
+            ('{"profile": {"min_radius": 0.08}}', "profile.min_radius"),
+            ('{"profile": {"base_radius": [1e-300, 1e-300]}}', "profile.min_radius"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
@@ -194,7 +202,8 @@ class TestGenerate:
              "huge-resolution", "huge-angular-segments", "huge-vertical-segments",
              "huge-profile-samples", "huge-poly-degrees", "overflowing-slope-range",
              "overflowing-azimuth-range", "huge-ground", "huge-height", "huge-slope",
-             "huge-camera-distance"],
+             "huge-camera-distance", "tiny-focal", "huge-min-radius",
+             "min-radius-at-base-radius-top", "tiny-base-radius"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"

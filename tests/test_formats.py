@@ -17,7 +17,6 @@ from vesselxyz import (
     SceneConfig,
     SegMask,
     TriMesh,
-    TruncatedPayload,
     XyzMap,
     assemble_scene,
     emit_scene,
@@ -100,7 +99,7 @@ class TestPfm:
         write_pfm(path, random_depth_f32(rng, 8, 8))
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(MalformedHeader, match="expected 256 payload bytes, got 249"):
             read_depth_pfm(path)
 
     @pytest.mark.parametrize("size", ["0 4", "4 0", "-4 4", "4 -4", "-4 -4"])
@@ -114,7 +113,7 @@ class TestPfm:
         # 100000 x 100000 x 3 floats would be 120 GB; the file holds 64 bytes
         path = tmp_path / "x.pfm"
         path.write_bytes(b"PF\n100000 100000\n-1.0\n" + bytes(64))
-        with pytest.raises(TruncatedPayload, match="120000000000"):
+        with pytest.raises(MalformedHeader, match="expected 120000000000 payload bytes"):
             read_xyz_pfm(path)
 
     @pytest.mark.parametrize("spaces, ok", [(_MAX_TOKEN_BYTES - 3, True), (_MAX_TOKEN_BYTES - 2, False)])
@@ -198,7 +197,7 @@ class TestPgm:
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\xff" * 7)
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(MalformedHeader, match="expected 16 payload bytes, got 7"):
             read_pgm(path)
 
     @pytest.mark.parametrize("size", ["0 4", "4 0", "-4 4", "4 -4", "-4 -4"])
@@ -211,7 +210,7 @@ class TestPgm:
     def test_oversized_header_rejected_before_reading(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n100000 100000\n255\n" + b"\xff" * 16)
-        with pytest.raises(TruncatedPayload, match="10000000000"):
+        with pytest.raises(MalformedHeader, match="expected 10000000000 payload bytes"):
             read_pgm(path)
 
 
@@ -244,7 +243,7 @@ def test_readers_return_a_map_or_a_format_error(magic, size, last, odd, gap, cut
         for read, kind in ((read_pgm, SegMask), (read_depth_pfm, DepthMap), (read_xyz_pfm, XyzMap)):
             try:
                 assert isinstance(read(path), kind)
-            except (MalformedHeader, TruncatedPayload):
+            except MalformedHeader:
                 pass
 
 

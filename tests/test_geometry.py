@@ -12,7 +12,6 @@ from vesselxyz import (
     EmptyMask,
     InvalidEndpoint,
     InvalidValue,
-    NonPositiveDepth,
     PairSet,
     PinholeCamera,
     SegMask,
@@ -75,7 +74,7 @@ class TestDepthToXyz:
 
 class TestMapTypes:
     def test_depth_map_rejects_nonpositive_valid(self):
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(InvalidValue, match="must have finite and positive values"):
             DepthMap(np.zeros((2, 2)), np.ones((2, 2), bool))
 
     def test_invalid_pixels_stored_as_nan(self):
@@ -184,7 +183,7 @@ def test_map_store_matches_copy_then_fill(kind, data):
         bad = [np.nan, np.inf, -np.inf] + ([0.0, -0.0, -1.0] if positive else [])
         broken = values.copy()
         broken[r, c] = data.draw(st.sampled_from(bad))
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(InvalidValue, match="valid pixels must have finite"):
             cls(broken, valid)
 
 

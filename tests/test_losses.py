@@ -5,10 +5,10 @@ import pytest
 
 from vesselxyz import (
     DegenerateScale,
-    EmptyPairSet,
     InvalidValue,
     ScaleFactor,
     SegMask,
+    TooFewPoints,
     XyzMap,
     build_pair_set,
     loss_gradient,
@@ -84,7 +84,7 @@ class TestTranslationInvariantLoss:
     def test_empty_pairs_raise(self):
         pred, gt, _ = two_pixel_fixture()
         pairs = build_pair_set(full_mask(1, 2), [5])  # dilation exceeds extent
-        with pytest.raises(EmptyPairSet):
+        with pytest.raises(TooFewPoints, match="no pixel pairs to compare"):
             translation_invariant_loss(pred, gt, pairs)
 
     def test_gradient_rejects_scale_factor(self):

@@ -12,7 +12,6 @@ from vesselxyz import (
     DegenerateGT,
     DimensionMismatch,
     EmptyMask,
-    EmptySet,
     InvalidEndpoint,
     InvalidValue,
     MaterialVector,
@@ -317,7 +316,7 @@ class TestChamfer:
         )
 
     def test_empty_set_raises(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(TooFewPoints, match="chamfer needs two nonempty point sets"):
             chamfer(np.empty((0, 3)), np.array([[0.0, 0.0, 0.0]]))
 
     def test_matches_brute_force_to_1e12(self):

@@ -8,7 +8,7 @@ import pytest
 
 from vesselxyz import (
     GenerationFailed,
-    InvalidResolution,
+    InvalidValue,
     LinearTerm,
     MalformedConfig,
     PolynomialTerm,
@@ -96,7 +96,7 @@ class TestProfiles:
             generate_profile(0, config)
 
     def test_knot_count_is_capped(self):
-        with pytest.raises(InvalidResolution, match="1048577"):
+        with pytest.raises(InvalidValue, match="profile needs 2 to 1048576 knots, got 1048577"):
             VesselProfile((), 0.05, 0.1, samples=2**20 + 1)
 
     def test_roundtrip_serialization(self):
@@ -119,9 +119,9 @@ class TestProfileToMesh:
         np.testing.assert_allclose(radial, prof.radius(v[:, 1]), rtol=0, atol=1e-9)
 
     def test_invalid_resolution(self):
-        with pytest.raises(InvalidResolution):
+        with pytest.raises(InvalidValue, match="segments, got 2/8"):
             profile_to_mesh(cylinder(), 2, 8)
-        with pytest.raises(InvalidResolution):
+        with pytest.raises(InvalidValue, match="segments, got 8/1"):
             profile_to_mesh(cylinder(), 8, 1)
 
     def test_watertight_below_rim(self):

@@ -6,8 +6,8 @@ import pytest
 from vesselxyz import (
     DepthMap,
     EmptyMask,
-    EmptyScene,
     GroundPlane,
+    InvalidValue,
     MaterialVector,
     PinholeCamera,
     SceneRecord,
@@ -71,7 +71,7 @@ class TestRenderDepth:
 
     def test_empty_scene_raises(self):
         cam = down_camera()
-        with pytest.raises(EmptyScene):
+        with pytest.raises(InvalidValue, match="cannot intersect an empty mesh"):
             cast_camera_rays(TriMesh([], [], "content"), cam, camera_rays(cam)[1])
 
     def test_cylinder_silhouette_width(self):
@@ -79,10 +79,7 @@ class TestRenderDepth:
         r, h, d = 0.05, 0.3, 0.6
         prof = VesselProfile((), base_radius=r, height=h, samples=64)
         mesh = profile_to_mesh(prof, 256, 8)
-        cam = look_at_camera(
-            eye=(0.0, h / 2, d), target=(0.0, h / 2, 0.0),
-            fx=300.0, fy=300.0, cx=63.5, cy=63.5, width=128, height=128,
-        )
+        cam = look_at_camera((0.0, h / 2, d), (0.0, h / 2, 0.0), focal_px=300.0, resolution=128)
         depth = cast_depth(mesh, cam)
         mid_row = depth.valid[64]
         width_px = int(mid_row.sum())
