@@ -18,8 +18,8 @@ from .errors import DegenerateGT, DimensionMismatch, InvalidValue, TooFewPoints
 from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
 from .losses import scale_factor
 
-_DIAMETER_GRID = 16  # cells per axis of max_dst's bounding-box grid
-_DIAMETER_SLACK = 1.0 + 1e-9  # relative margin on every max_dst prune test
+_DIAMETER_SLACK = 1.0 + 1e-9  # relative margin on max_dst's reach
+_DIAMETER_TINY = 1e-290  # squared diameter at or below which max_dst scans every pair
 _DIAMETER_BLOCK = 1 << 16  # point pairs per chunk of an exact max_dst scan
 _TSS_FLOOR = 1e-12
 _CHAMFER_LEAF = 48  # big leaves, unbalanced unshrunk trees: fastest for eval's far queries
@@ -97,18 +97,20 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
     """Diameter of the masked GT point set (max pairwise distance), exact.
 
     Bit-identical to a brute force over every pair, summing squares in the
-    same order.  Farthest-point hops give a lower bound ``best``; the points
-    are binned into a grid over their bounding box, and each cell gets the
-    box of its own points.  For p in box A and q in box B, on every axis
-    |p - q| <= max(A.hi - B.lo, B.hi - A.lo), so the sum of those squares
-    bounds |p - q|^2 (likewise for a cell against the whole bounding box).
-    Cells, then cell pairs, bounded below ``best`` are dropped; the rest are
-    scanned exactly in decreasing bound order until one falls below ``best``.
-    Rounding to nearest is monotone, so a computed bound is never below a
-    computed distance it covers; the relative slack of 1e-9 on every test is
-    a margin of ~1e7 ulps on top, so no prune can drop the maximum.  Worst
-    case: a full sphere keeps every antipodal cell pair, and 20k points take
-    ~1.6 s; a single depth view cannot produce one.
+    same order.  Farthest-point hops give a lower bound ``best``.  With r
+    each point's distance from the bounding-box centre, the triangle
+    inequality gives |p - q| <= r_p + r_q, so a pair can beat ``best`` only
+    if r_q reaches sqrt(best) - r_p.  The points are sorted by decreasing r
+    and scanned exactly, a block of rows at a time, each row p against the
+    later points that reach its cut (found by bisection); the cut only rises
+    down the order, so the scan ends at the first p that no later point
+    reaches.  Away from underflow each computed norm is within a few ulps of
+    its true value, and the relative slack of 1e-9 on the reach (~1e7 ulps)
+    keeps every pair that could hold the maximum.  When ``best`` is at most
+    1e-290, the squares may be subnormal and carry no such precision, so
+    every pair is scanned.  Worst case: on a full sphere every point has
+    about the same r and nothing is pruned; 20k points take ~0.4 s, and a
+    single depth view cannot produce one.
     """
     g = masked_points(gt, mask)
     if len(g) < 2:
@@ -122,25 +124,20 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
         i = int(np.argmax(d2))
         best = max(best, float(d2[i]))
 
-    cell = ((g - lo) / np.where(hi > lo, hi - lo, 1.0) * _DIAMETER_GRID).astype(np.int64)
-    cid = np.ravel_multi_index(np.clip(cell, 0, _DIAMETER_GRID - 1).T, (_DIAMETER_GRID,) * 3)
-    order = np.argsort(cid, kind="stable")
-    pts, starts = g[order], np.flatnonzero(np.diff(cid[order], prepend=-1))
-    blocks = np.split(pts, starts[1:])
-    box_lo, box_hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
-    far = _sq_norms(np.maximum(box_hi - lo, hi - box_lo))
-    keep = np.flatnonzero(far * _DIAMETER_SLACK >= best)
-    a, b = (keep[t] for t in np.triu_indices(len(keep)))
-    x, y, z = (np.maximum(h[a] - l[b], h[b] - l[a]) for h, l in zip(box_hi.T, box_lo.T))
-    bound = (x * x + y * y) + z * z  # _sq_norms' order, on 1-D gathers
-    live = np.flatnonzero(bound * _DIAMETER_SLACK >= best)
-    for k in live[np.argsort(-bound[live])]:
-        if bound[k] * _DIAMETER_SLACK < best:
+    r = np.sqrt(_sq_norms(g - (0.5 * lo + 0.5 * hi)))
+    order = np.argsort(-r)
+    xyz, neg_r = g[order].T.copy(), -r[order]  # one row per axis; neg_r ascends for searchsorted
+    k = 0
+    while k < len(neg_r) - 1:
+        reach = np.sqrt(best) / _DIAMETER_SLACK + neg_r[k] if best > _DIAMETER_TINY else 0.0
+        end = int(np.searchsorted(neg_r, -reach, side="right"))  # later points with r >= reach
+        if end <= k + 1:
             break
-        p, q = blocks[a[k]], blocks[b[k]]
-        rows = max(1, _DIAMETER_BLOCK // len(q))
-        for r in range(0, len(p), rows):
-            best = max(best, float(np.max(_sq_norms(p[r : r + rows, None] - q))))
+        rows = max(1, _DIAMETER_BLOCK // (end - k))
+        d = xyz[:, k : k + rows, None] - xyz[:, None, k + 1 : end]
+        d *= d
+        best = max(best, float(np.max((d[0] + d[1]) + d[2])))  # _sq_norms' order
+        k += rows
     return float(np.sqrt(best))
 
 

@@ -34,7 +34,7 @@ _MAX_DEGREE = 1024
 _MAX_RETRIES = 10_000
 # Cap on lengths (meters) and profile coefficients; values near the float range overflow a scene.
 _MAX_MAGNITUDE = 1e6
-# Floor on focal_px; smaller focal lengths overflow the camera rays.
+# Floor on focal_px and lengths; below it rays overflow or the scene degenerates.
 _MIN_MAGNITUDE = 1e-6
 
 
@@ -163,9 +163,9 @@ _CONFIG_BOUNDS = {
     "focal_px": ((">=", _MIN_MAGNITUDE),),
     "wall_clearance": ((">", 0.0),),
     "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
-    "camera_distance": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
-    "ground_half_extent": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
-    "profile.height": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
+    "camera_distance": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
+    "ground_half_extent": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
+    "profile.height": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
     "profile.base_radius": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
     "profile.linear_slope": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
     "profile.poly_coefficient": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
@@ -209,7 +209,7 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
         for op, bound in _CONFIG_BOUNDS.get(name, ()):
             if not all(_COMPARE[op](v, bound) for v in items):
                 raise MalformedConfig(f"field {name!r}: must be {op} {bound}, got {value!r}")
-        if isinstance(default, tuple) and items[0] > items[1]:
+        if isinstance(default, tuple) and math.copysign(1, items[1] - items[0]) < 0:  # -0.0 too
             raise MalformedConfig(f"field {name!r}: low end above high end in {value!r}")
         if isinstance(default, tuple) and not math.isfinite(items[1] - items[0]):
             raise MalformedConfig(f"field {name!r}: range {value!r} is too wide to draw from")

@@ -192,6 +192,13 @@ class TestGenerate:
             ('{"profile": {"min_radius": 1e300}}', "profile.min_radius"),
             ('{"profile": {"min_radius": 0.08}}', "profile.min_radius"),
             ('{"profile": {"base_radius": [1e-300, 1e-300]}}', "profile.min_radius"),
+            # so small that the eye meets the target or the triangles degenerate
+            ('{"camera_distance": [1e-300, 1e-300]}', "camera_distance"),
+            ('{"ground_half_extent": 1e-300}', "ground_half_extent"),
+            ('{"profile": {"height": [1e-300, 1e-300]}}', "profile.height"),
+            # a range ending at -0.0 ends below its start 0.0
+            ('{"camera_azimuth_deg": [0.0, -0.0]}', "camera_azimuth_deg"),
+            ('{"fill_fraction": [0.0, -0.0]}', "fill_fraction"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
@@ -203,7 +210,9 @@ class TestGenerate:
              "huge-profile-samples", "huge-poly-degrees", "overflowing-slope-range",
              "overflowing-azimuth-range", "huge-ground", "huge-height", "huge-slope",
              "huge-camera-distance", "tiny-focal", "huge-min-radius",
-             "min-radius-at-base-radius-top", "tiny-base-radius"],
+             "min-radius-at-base-radius-top", "tiny-base-radius", "tiny-camera-distance",
+             "tiny-ground", "tiny-height", "azimuth-ending-at-negative-zero",
+             "fill-ending-at-negative-zero"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
@@ -249,10 +258,11 @@ class TestGenerate:
         assert not any(tmp_path.iterdir())
 
     def test_degenerate_meshes_fail_per_seed(self, tmp_path, capsys):
-        # a nanometer-high vessel has degenerate triangles: each seed fails
+        # a nanometer-wide vessel has degenerate triangles: each seed fails
         # on its own and the batch exits 3
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"profile": {"height": [1e-9, 1e-9]}}))
+        profile = {"base_radius": [1e-9, 1e-9], "min_radius": 5e-10, "term_count": [0, 0]}
+        cfg.write_text(json.dumps({"profile": profile, "wall_clearance": 1e-10}))
         code = main(
             ["generate", "--seeds", "1..3", "--config", str(cfg), "--resolution", "16",
              "--out", str(tmp_path / "o")]

@@ -226,16 +226,26 @@ class TestMaxDst:
         assert_exact_diameter(1e3 + rng.uniform(0.0, 2e-3, (3000, 3)))
 
     def test_subnormal_extent(self):
-        # the squares underflow to zero, and binning must not overflow
+        # the squares underflow to zero
         assert_exact_diameter([[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [1e-310, -2e-310, 0.0]])
+
+    @pytest.mark.parametrize("seed", range(0, 48, 8))
+    def test_subnormal_squares(self, seed):
+        # near 1e-160 the squares are subnormal and the distances from the
+        # centre lose their relative precision: a prune that trusted them
+        # would drop the sphere's maximum at seeds 8, 32 and 40
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(1500, 3))
+        offset = rng.uniform(-1.0, 1.0, 3) * 3e-160
+        assert_exact_diameter(d / np.linalg.norm(d, axis=1, keepdims=True) * 1e-160 + offset)
+        assert_exact_diameter(rng.uniform(-1.0, 1.0, (500, 3)) * 1e-160 + offset)
 
     def test_uniform_cube(self):
         rng = np.random.default_rng(36)
         assert_exact_diameter(rng.uniform(-1.0, 1.0, (6000, 3)))
 
     def test_depth_view_cap(self):
-        # 2724 points in 672 kept cells: most of the cell pairs are dropped
-        # before the rest are sorted
+        # 2724 points: one depth view, the kind of object eval measures
         cap = depth_view_cap(60)
         assert_exact_diameter(cap)
         assert_exact_diameter(cap @ random_rotation(np.random.default_rng(37)).T)
@@ -247,9 +257,11 @@ class TestMaxDst:
             min_size=2,
             max_size=300,
         ),
+        st.integers(-170, 150),
         st.randoms(use_true_random=False),
     )
-    def test_pixel_permutation_invariant(self, pts, rand):
+    def test_pixel_permutation_invariant(self, pts, exponent, rand):
+        pts = [tuple(v * 10.0**exponent for v in p) for p in pts]
         m, mask = points_map(pts)
         order = list(range(len(pts)))
         rand.shuffle(order)
