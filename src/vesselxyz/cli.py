@@ -182,7 +182,7 @@ def _cmd_render(args) -> int:
     _probe_writable(out)
     try:
         emit_scene(manifest.seed, manifest.config, out)
-    except VesselXyzError as e:  # the manifest's seed and config give no scene
+    except (VesselXyzError, OSError) as e:  # the seed and config give no scene, or no file name
         raise GenerationFailed(f"{args.manifest}: {e}") from e
     print(f"re-rendered seed {manifest.seed} into {out}")
     return EXIT_OK

@@ -104,8 +104,8 @@ def _read_pfm(path, magic: bytes, pixel: tuple, cls):
     one, a pixel is valid when it is finite, and for depth also positive.
     """
     width, height, scale, payload = _read_grid(path, magic, float, 4 * math.prod(pixel))
-    if scale == 0.0:
-        raise MalformedHeader(f"{path}: zero scale")
+    if scale == 0.0 or not math.isfinite(scale):  # its sign gives the byte order
+        raise MalformedHeader(f"{path}: scale must be finite and nonzero, got {scale}")
     with np.errstate(invalid="ignore"):  # a signaling NaN casts to a quiet one
         data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4").astype(np.float64)
     data = np.flipud(data.reshape(height, width, *pixel))

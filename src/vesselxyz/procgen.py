@@ -14,7 +14,7 @@ inputs is bit-identical.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -25,17 +25,9 @@ from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
 _CAMERA_SALT = 13
-# Caps on the sizes and counts a config may ask for, far above any useful scene.
+# Caps on the image size and knot count, far above any useful scene.
 _MAX_RESOLUTION = 8192
-_MAX_SEGMENTS = 8192
 _MAX_SAMPLES = 2**20
-_MAX_TERMS = 64
-_MAX_DEGREE = 1024
-_MAX_RETRIES = 10_000
-# Cap on lengths (meters) and profile coefficients; values near the float range overflow a scene.
-_MAX_MAGNITUDE = 1e6
-# Floor on focal_px and lengths; below it rays overflow or the scene degenerates.
-_MIN_MAGNITUDE = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +144,33 @@ class ProfileConfig:
     max_retries: int = 100
 
 
-# (comparison, bound) pairs every value of a field, or both ends of a range
-# field, must meet; SceneConfig.from_dict also needs wall_clearance < min_radius
-# < base_radius[1].
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+# Closed (low, high) bounds on every numeric config field, both ends of a range
+# included.  Outside [1e-6, 1e6] meters, rays overflow or a scene degenerates.
+# SceneConfig.from_dict also needs wall_clearance < min_radius < base_radius[1].
+_LENGTH = (1e-6, 1e6)
+_SIGNED = (-1e6, 1e6)
 _CONFIG_BOUNDS = {
-    "angular_segments": ((">", 2), ("<=", _MAX_SEGMENTS)),
-    "vertical_segments": ((">", 1), ("<=", _MAX_SEGMENTS)),
-    "resolution": ((">", 0), ("<=", _MAX_RESOLUTION)),
-    "focal_px": ((">=", _MIN_MAGNITUDE),),
-    "wall_clearance": ((">", 0.0),),
-    "fill_fraction": ((">=", 0.0), ("<=", 1.0)),
-    "camera_distance": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "ground_half_extent": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "profile.height": ((">=", _MIN_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "profile.base_radius": ((">", 0.0), ("<=", _MAX_MAGNITUDE)),
-    "profile.linear_slope": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "profile.poly_coefficient": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "profile.sin_amplitude_scale": ((">=", -_MAX_MAGNITUDE), ("<=", _MAX_MAGNITUDE)),
-    "profile.min_radius": ((">", 0.0),),
-    "profile.poly_degrees": ((">=", 0), ("<=", _MAX_DEGREE)),
-    "profile.samples": ((">=", 2), ("<=", _MAX_SAMPLES)),
-    "profile.term_count": ((">=", 0), ("<=", _MAX_TERMS)),
-    "profile.max_retries": ((">=", 1), ("<=", _MAX_RETRIES)),
+    "angular_segments": (3, 8192),
+    "vertical_segments": (2, 8192),
+    "resolution": (1, _MAX_RESOLUTION),
+    "wall_clearance": _LENGTH,
+    "fill_fraction": (0.0, 1.0),
+    "camera_distance": _LENGTH,
+    "camera_elevation_deg": _SIGNED,
+    "camera_azimuth_deg": _SIGNED,
+    "focal_px": (1e-6, sys.float_info.max),
+    "ground_half_extent": _LENGTH,
+    "profile.term_count": (0, 64),
+    "profile.linear_slope": _SIGNED,
+    "profile.poly_degrees": (0, 1024),
+    "profile.poly_coefficient": _SIGNED,
+    "profile.sin_amplitude_scale": _SIGNED,
+    "profile.sin_frequency": _SIGNED,
+    "profile.base_radius": _LENGTH,
+    "profile.height": _LENGTH,
+    "profile.min_radius": _LENGTH,
+    "profile.samples": (2, _MAX_SAMPLES),
+    "profile.max_retries": (1, 10_000),
 }
 
 
@@ -182,9 +178,10 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
     """Checked keyword arguments for config dataclass ``cls`` from a JSON object.
 
     Every key must name a field, and every value must have the shape of the
-    field's default: a nested config object, an integer, a finite number, or
-    a list of those of the default's length.  MalformedConfig names the
-    first bad field.
+    field's default: a nested config object, an integer, a number, or a list
+    of those of the default's length, each within the field's closed bounds
+    (which NaN and the infinities are not).  MalformedConfig names the first
+    bad field.
     """
     if not isinstance(d, dict):
         raise MalformedConfig(f"{prefix.rstrip('.') or 'config'} must be an object, got {d!r}")
@@ -206,22 +203,20 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
         )
         if not ok:
             raise MalformedConfig(f"field {name!r}: expected the type of {default!r}, got {value!r}")
-        for op, bound in _CONFIG_BOUNDS.get(name, ()):
-            if not all(_COMPARE[op](v, bound) for v in items):
-                raise MalformedConfig(f"field {name!r}: must be {op} {bound}, got {value!r}")
+        low, high = _CONFIG_BOUNDS[name]
+        if not all(low <= v <= high for v in items):  # exact for any int, False for NaN
+            raise MalformedConfig(f"field {name!r}: must lie in [{low}, {high}], got {value!r}")
         if isinstance(default, tuple) and math.copysign(1, items[1] - items[0]) < 0:  # -0.0 too
             raise MalformedConfig(f"field {name!r}: low end above high end in {value!r}")
-        if isinstance(default, tuple) and not math.isfinite(items[1] - items[0]):
-            raise MalformedConfig(f"field {name!r}: range {value!r} is too wide to draw from")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return kwargs
 
 
 def _like(value, default) -> bool:
-    """An integer where the default is one, else a finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """An integer where the default is one, else an integer or a float; never a bool."""
+    if isinstance(value, bool):
         return False
-    return isinstance(value, int) if isinstance(default, int) else math.isfinite(value)
+    return isinstance(value, int if isinstance(default, int) else (int, float))
 
 
 def _draw_term(rng: np.random.Generator, config: ProfileConfig, base_radius: float):

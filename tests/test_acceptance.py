@@ -23,7 +23,6 @@ from vesselxyz import (
     build_pair_set,
     chamfer,
     flat_liquid_fill,
-    intersect_rays_brute,
     loss_gradient,
     look_at_camera,
     mae_points,
@@ -39,7 +38,7 @@ from vesselxyz import (
     write_pfm,
     write_pgm,
 )
-from vesselxyz.bvh import cast_camera_rays
+from vesselxyz.bvh import cast_camera_rays, intersect_rays_brute
 from vesselxyz.cli import EXIT_OK, main as cli_main
 from vesselxyz.manifest import manifest_name
 from conftest import (

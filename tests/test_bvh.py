@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vesselxyz import PinholeCamera, TriMesh, intersect_rays_brute
+from vesselxyz import PinholeCamera, TriMesh
 from vesselxyz.bvh import (
     CAST_MARGIN_PX, CAST_Z_EPS, T_MIN, _moller_trumbore, _origin_terms, cast_camera_rays,
+    intersect_rays_brute,
 )
 from vesselxyz.procgen import SceneConfig, assemble_scene
 from vesselxyz.renderer import camera_rays

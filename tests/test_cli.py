@@ -191,7 +191,7 @@ class TestGenerate:
             # no drawn profile can clear min_radius
             ('{"profile": {"min_radius": 1e300}}', "profile.min_radius"),
             ('{"profile": {"min_radius": 0.08}}', "profile.min_radius"),
-            ('{"profile": {"base_radius": [1e-300, 1e-300]}}', "profile.min_radius"),
+            ('{"profile": {"base_radius": [1e-300, 1e-300]}}', "profile.base_radius"),
             # so small that the eye meets the target or the triangles degenerate
             ('{"camera_distance": [1e-300, 1e-300]}', "camera_distance"),
             ('{"ground_half_extent": 1e-300}', "ground_half_extent"),
@@ -199,6 +199,12 @@ class TestGenerate:
             # a range ending at -0.0 ends below its start 0.0
             ('{"camera_azimuth_deg": [0.0, -0.0]}', "camera_azimuth_deg"),
             ('{"fill_fraction": [0.0, -0.0]}', "fill_fraction"),
+            # integers beyond the float range, and non-finite floats
+            ('{"focal_px": 1' + "0" * 400 + "}", "focal_px"),
+            ('{"camera_azimuth_deg": [0, 1' + "0" * 400 + "]}", "camera_azimuth_deg"),
+            ('{"profile": {"min_radius": -1' + "0" * 400 + "}}", "profile.min_radius"),
+            ('{"fill_fraction": [0, Infinity]}', "fill_fraction"),
+            ('{"focal_px": NaN}', "focal_px"),
         ],
         ids=["unknown-key", "unknown-profile-key", "negative-resolution", "zero-focal",
              "too-few-angular-segments", "fractional-vertical-segments", "not-json",
@@ -212,7 +218,8 @@ class TestGenerate:
              "huge-camera-distance", "tiny-focal", "huge-min-radius",
              "min-radius-at-base-radius-top", "tiny-base-radius", "tiny-camera-distance",
              "tiny-ground", "tiny-height", "azimuth-ending-at-negative-zero",
-             "fill-ending-at-negative-zero"],
+             "fill-ending-at-negative-zero", "huge-int-focal", "huge-int-azimuth",
+             "huge-negative-int-min-radius", "infinite-fill", "nan-focal"],
     )
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
@@ -258,11 +265,11 @@ class TestGenerate:
         assert not any(tmp_path.iterdir())
 
     def test_degenerate_meshes_fail_per_seed(self, tmp_path, capsys):
-        # a nanometer-wide vessel has degenerate triangles: each seed fails
-        # on its own and the batch exits 3
+        # a vessel a few micrometers wide has degenerate triangles: each seed
+        # fails on its own and the batch exits 3
         cfg = tmp_path / "cfg.json"
-        profile = {"base_radius": [1e-9, 1e-9], "min_radius": 5e-10, "term_count": [0, 0]}
-        cfg.write_text(json.dumps({"profile": profile, "wall_clearance": 1e-10}))
+        profile = {"base_radius": [2e-6, 2e-6], "min_radius": 1.5e-6, "term_count": [0, 0]}
+        cfg.write_text(json.dumps({"profile": profile, "wall_clearance": 1e-6}))
         code = main(
             ["generate", "--seeds", "1..3", "--config", str(cfg), "--resolution", "16",
              "--out", str(tmp_path / "o")]
@@ -416,6 +423,15 @@ class TestRender:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert str(path) in err and "'config'" in err and repr(field) in err
+
+    def test_seed_too_long_for_a_file_name_names_the_manifest(self, gt_batch, tmp_path, capsys):
+        path = tmp_path / manifest_name(2)
+        doc = json.loads((gt_batch / manifest_name(2)).read_text())
+        doc["seed"] = 10**400  # a valid seed, but its artifact names pass the file-name limit
+        path.write_text(json.dumps(doc))
+        code = main(["render", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
 
 
 class TestEval:

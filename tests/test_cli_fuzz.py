@@ -86,6 +86,8 @@ def _like(default):
     return st.one_of(
         st.floats(-1.0, 1.0), st.sampled_from([1e-9, 0.005, 0.05, 2.0]),
         st.floats(allow_nan=True, allow_infinity=True),
+        st.builds(lambda sign, k: sign * 10.0**k, st.sampled_from([1, -1]), st.integers(-300, 300)),
+        st.integers(2**1024, 10**400), st.integers(-(10**400), -(2**1024)),  # beyond a float
     )
 
 
@@ -160,7 +162,9 @@ def _manifest_cli_runs(gt, tmp, keys, value):
         yield argv[0], code, err.getvalue(), str(path)
 
 
-_ODD_VALUES = st.sampled_from([-3, 2.5, True, "x", float("nan"), [1], {"a": 1}, 10**19])
+_ODD_VALUES = st.sampled_from(
+    [-3, 2.5, True, "x", float("nan"), float("inf"), [1], {"a": 1}, 10**19, 10**400]
+)
 
 
 @settings(FUZZ, max_examples=100)

@@ -128,6 +128,15 @@ class TestPfm:
             with pytest.raises(MalformedHeader, match="whitespace"):
                 read_depth_pfm(path)
 
+    @pytest.mark.parametrize("scale", ["0.0", "-0", "nan", "-nan", "inf", "-inf", "1e999"])
+    def test_zero_or_nonfinite_scale_rejected(self, tmp_path, scale):
+        # 1.5 stored little-endian; a non-finite scale used to read it big-endian, as 6.9e-41
+        path = tmp_path / "d.pfm"
+        path.write_bytes(f"Pf\n1 1\n{scale}\n".encode() + struct.pack("<f", 1.5))
+        with pytest.raises(MalformedHeader, match="scale must be finite and nonzero") as e:
+            read_depth_pfm(path)
+        assert str(path) in str(e.value)
+
     @pytest.mark.parametrize(
         "magic, read", [(b"PF", read_depth_pfm), (b"Pf", read_xyz_pfm), (b"P5", read_xyz_pfm)]
     )

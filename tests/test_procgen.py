@@ -1,7 +1,9 @@
 """Profiles, surface-of-revolution meshes, liquid fills, scene assembly."""
 
 import math
+import re
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from vesselxyz import (
     opening_plane,
     profile_to_mesh,
 )
+from vesselxyz.procgen import _CONFIG_BOUNDS
 from conftest import (
     enclosed_volume,
     oracle_content_mesh,
@@ -225,7 +228,8 @@ class TestMeshOrder:
      ("profile.samples", 2**20), ("profile.max_retries", 10_000), ("profile.term_count", 64),
      ("profile.poly_degrees", 1024), ("camera_distance", 1e6), ("ground_half_extent", 1e6),
      ("profile.height", 1e6), ("profile.base_radius", 1e6), ("profile.linear_slope", 1e6),
-     ("profile.poly_coefficient", 1e6), ("profile.sin_amplitude_scale", 1e6)],
+     ("profile.poly_coefficient", 1e6), ("profile.sin_amplitude_scale", 1e6),
+     ("profile.sin_frequency", 1e6), ("camera_elevation_deg", 1e6), ("camera_azimuth_deg", 1e6)],
 )
 def test_config_size_fields_are_capped(field, cap):
     def doc(value):
@@ -239,15 +243,56 @@ def test_config_size_fields_are_capped(field, cap):
         return value
 
     SceneConfig.from_dict(doc(cap))  # a config builds no mesh or image, so this allocates nothing
-    with pytest.raises(MalformedConfig, match=f"'{field}': must be <= {cap}"):
+    with pytest.raises(MalformedConfig, match=rf"'{field}': must lie in \[.+, {cap}\]"):
         SceneConfig.from_dict(doc(cap + 1))
 
 
-@pytest.mark.parametrize("field", ["linear_slope", "poly_coefficient", "sin_amplitude_scale"])
+@pytest.mark.parametrize(
+    "field", ["linear_slope", "poly_coefficient", "sin_amplitude_scale", "sin_frequency"]
+)
 def test_config_signed_profile_fields_are_capped_below(field):
     SceneConfig.from_dict({"profile": {field: [-1e6, 0.0]}})
-    with pytest.raises(MalformedConfig, match=f"'profile.{field}': must be >= -1000000.0"):
+    with pytest.raises(MalformedConfig, match=rf"'profile.{field}': must lie in \[-1000000.0, "):
         SceneConfig.from_dict({"profile": {field: [-1e6 - 1, 0.0]}})
+
+
+@pytest.mark.parametrize(
+    "inside, outside, field, bounds",
+    [
+        ({"camera_elevation_deg": [-1e6, 0]}, {"camera_elevation_deg": [-1e6 - 1, 0]},
+         "camera_elevation_deg", "[-1000000.0, 1000000.0]"),
+        ({"camera_azimuth_deg": [-1e6, 0]}, {"camera_azimuth_deg": [-1e6 - 1, 0]},
+         "camera_azimuth_deg", "[-1000000.0, 1000000.0]"),
+        ({"wall_clearance": 1e-6}, {"wall_clearance": 9e-7}, "wall_clearance", "[1e-06, 1000000.0]"),
+        ({"profile": {"min_radius": 2e-6}, "wall_clearance": 1e-6},
+         {"profile": {"min_radius": 9e-7}}, "profile.min_radius", "[1e-06, 1000000.0]"),
+        ({"profile": {"base_radius": [1e-6, 0.08]}}, {"profile": {"base_radius": [9e-7, 0.08]}},
+         "profile.base_radius", "[1e-06, 1000000.0]"),
+        # the cross-field rules keep both below base_radius[1], itself at most 1e6
+        ({"wall_clearance": 0.5, "profile": {"min_radius": 1.0, "base_radius": [1, 1e6]}},
+         {"wall_clearance": 1e6 + 1}, "wall_clearance", "[1e-06, 1000000.0]"),
+        ({"profile": {"min_radius": 999_999.0, "base_radius": [1, 1e6]}},
+         {"profile": {"min_radius": 1e6 + 1}}, "profile.min_radius", "[1e-06, 1000000.0]"),
+    ],
+    ids=["elevation-floor", "azimuth-floor", "clearance-floor", "min-radius-floor",
+         "base-radius-floor", "clearance-cap", "min-radius-cap"],
+)
+def test_config_field_outside_its_bounds_is_named(inside, outside, field, bounds):
+    SceneConfig.from_dict(inside)
+    with pytest.raises(MalformedConfig, match=re.escape(f"'{field}': must lie in {bounds}")):
+        SceneConfig.from_dict(outside)
+
+
+def test_every_numeric_config_field_has_closed_finite_bounds():
+    defaults = {f"{prefix}{f.name}": getattr(cls(), f.name)
+                for prefix, cls in (("", SceneConfig), ("profile.", ProfileConfig))
+                for f in fields(cls)}
+    del defaults["profile"]
+    assert sorted(_CONFIG_BOUNDS) == sorted(defaults)
+    for name, (low, high) in _CONFIG_BOUNDS.items():
+        assert math.isfinite(low) and math.isfinite(high), name
+        default = defaults[name]
+        assert all(low <= v <= high for v in (default if isinstance(default, tuple) else [default]))
 
 
 class TestAssembleScene:

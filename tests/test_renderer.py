@@ -17,12 +17,11 @@ from vesselxyz import (
     assemble_scene,
     clean_depth,
     depth_to_xyz,
-    intersect_rays_brute,
     look_at_camera,
     profile_to_mesh,
     render_scene,
 )
-from vesselxyz.bvh import cast_camera_rays
+from vesselxyz.bvh import cast_camera_rays, intersect_rays_brute
 from vesselxyz.renderer import camera_rays
 from conftest import cast_depth, icosphere, oracle_camera_rays, oracle_difference_mask, random_rotation
 
