@@ -1,21 +1,25 @@
 """Ray/triangle intersection: a binned camera-ray cast, and its brute-force reference.
 
 ``cast_camera_rays`` is the renderer's cast.  Every camera ray runs from
-the camera center through a pixel center.  A triangle with every corner at
-camera-frame ``z > CAST_Z_EPS`` is cast over per-row spans: for pixel row
-``v``, the projected triangle is clipped to the slab ``[v - m, v + m]``,
-``m = CAST_MARGIN_PX``, and the span is the slab's x-extent widened by
-``m``.  A hit at pixel P puts P within the kernel's error δ ≪ m of a point
-Q of the triangle, so Q lies in P's row slab and P within δ of its x-extent.
-δ is ~``eps * f`` px (the extent itself rounds by ulps of the corners' u)
-unless the determinant is pure rounding, as for rays in the triangle's
-plane; so a triangle whose plane passes within a relative ``CAST_PLANE_TOL``
-of the camera center gets every pixel, as does one reaching ``z <=
-CAST_Z_EPS``.  These whole-image triangles run over the pixels in
-``CAST_BLOCK`` slices, with scalar triangle terms and no gathers; the
-spans' (pixel, triangle) pairs run ``CAST_BLOCK`` at a time.  Either way
-the kernel sees the values a brute-force scan gives it, and each pixel keeps
-the smallest ``t`` of its hits, so ``t`` keeps its bits.
+the camera center through a pixel center, and every triangle is cast over
+per-row spans: with ``m = CAST_MARGIN_PX``, the span of pixel row ``v`` is
+the x-extent of the triangle's part in the slab ``[v - m, v + m]``, widened
+by ``m``.  A hit at pixel P puts P within the kernel's error δ ≪ m of a
+point Q of the triangle, so Q lies in P's row slab and P within δ of its
+x-extent.  The extent comes from the triangle's three edge planes through
+the camera center, which need no projected corner (Olano & Greer, 1997):
+with camera-frame corners P and σ = sign det P = -sign(``e2 . q``), pixel
+(x, y) is inside edge j-k when σ (P_j x P_k) . ((x - cx)/fx, (y - cy)/fy,
+1) >= 0.  Each edge, at its most lenient y in the slab, bounds x on one
+side, and the span is the meet of the three.  The rows are the projected
+v-range of a triangle with every corner at camera-frame ``z > CAST_Z_EPS``,
+and every row otherwise.  δ is ~``eps * f`` px unless the determinant is
+pure rounding, as for rays in the triangle's plane; so a triangle whose
+plane passes within a relative ``CAST_PLANE_TOL`` of the camera center (the
+plane rule) gets zero edge planes, and with them every row and column.  The
+(pixel, triangle) pairs run ``CAST_BLOCK`` at a time; the kernel sees the
+values a brute-force scan gives it, and each pixel keeps the smallest ``t``
+of its hits, so ``t`` keeps its bits.
 
 ``intersect_rays_brute`` tests every ray against every triangle.  It takes
 arbitrary rays and is the reference the cast is checked against; rendering
@@ -26,9 +30,9 @@ sums each dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
 ``einsum("ij,ij->i")`` does, so its bits are the ``np.cross``/``einsum``
 form's.  ``s = o - v0``, ``q = s x e1`` and ``e2 . q`` hold no ray
 direction: the cast computes them once per triangle for its one origin,
-the brute force per pair.  ``e2 . q = (e1 x e2) . s`` also serves as the
-cast's plane test.  Only pairs with ``det != 0`` and ``0 <= u <= 1`` go on
-to ``v`` and ``t``.
+the brute force per pair.  ``e2 . q = (e1 x e2) . s`` also gives the
+cast its plane test and σ.  Only pairs with ``det != 0`` and ``0 <= u <=
+1`` go on to ``v`` and ``t``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import InvalidValue
 from .geometry import PinholeCamera, TriMesh
 
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
-CAST_Z_EPS = 1e-9  # camera-frame z a triangle's corners must exceed to be spanned
+CAST_Z_EPS = 1e-9  # camera-frame z every corner must exceed for rows to be the v-range
 CAST_MARGIN_PX = 1e-3  # half-height of a row's slab, and the widening of its span
 CAST_PLANE_TOL = 1e-10  # relative plane distance below which rays in the plane hit anywhere
 CAST_BLOCK = 8192  # (pixel, triangle) pairs per kernel call of the camera cast
@@ -71,9 +75,9 @@ def _origin_terms(o, v0, e1, e2):
 def _moller_trumbore(d, e1, e2, s, q, e2q, rows=None):
     """Ray/triangle test over pairs; returns (hit indices, t, u, v of those hits).
 
-    ``d`` holds per-pair (x, y, z) rows.  ``e1``, ``e2`` and the
-    :func:`_origin_terms` ``s``, ``q``, ``e2q`` are per pair or scalars, or
-    ``q`` and ``e2q`` are per triangle and pair i reads row ``rows[i]``.
+    ``d``, ``e1``, ``e2`` and the :func:`_origin_terms` ``s`` hold per-pair
+    (x, y, z) rows; ``q`` and ``e2q`` are per pair, or per triangle with
+    pair i reading row ``rows[i]``.
     Bounds are inclusive: a ray through a shared edge hits both triangles,
     and the caller's (t, id) tie-break picks one.
     """
@@ -85,7 +89,7 @@ def _moller_trumbore(d, e1, e2, s, q, e2q, rows=None):
         # u > 1 fails u + v <= 1 for every v >= 0, so such pairs stop here.
         cand = np.flatnonzero((det != 0.0) & (u >= 0.0) & (u <= 1.0))
         at = cand if rows is None else rows[cand]
-        *q, e2q = (x[at] if np.ndim(x) else x for x in (*q, e2q))
+        *q, e2q = (x[at] for x in (*q, e2q))
         u, inv_det = u[cand], inv_det[cand]
         v = _dot([x[cand] for x in d], q) * inv_det
         t = e2q * inv_det
@@ -104,47 +108,42 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     if mesh.is_empty:
         raise InvalidValue("cannot intersect an empty mesh")
     w, h = camera.width, camera.height
-    # Per-axis rows of per-corner arrays: each vertex is projected once, then gathered.
+    # Per-axis rows of per-corner arrays: each vertex is moved into the camera frame once.
     corners = mesh.triangles.T.copy()
     cam = camera.world_to_camera(mesh.vertices).T.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        uv = cam[:2] / cam[2] * [[camera.fx], [camera.fy]] + [[camera.cx], [camera.cy]]
     # Kernel terms of every triangle.
     a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in corners)
     e1, e2 = b - a, c - a
     s, q, e2q = _origin_terms(camera.center, a, e1, e2)
-    # Spanned: every corner in front, and the plane clear of the camera center;
-    # |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
+    # The plane rule: |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
     far = np.maximum(np.maximum(_norm(s), _norm(np.subtract(s, e1))), _norm(np.subtract(s, e2)))
-    in_front = np.take(cam[2], corners).min(axis=0) > CAST_Z_EPS
-    spanned = in_front & (np.abs(e2q) > CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far))
-    ids = np.flatnonzero(spanned)
-    # Per row, a segment: the triangle clipped to the row's slab, bounded by the
-    # edges a-c and a-b-c (corners sorted by v).  Points go along an edge from the
-    # nearer corner, and a non-finite slope reads 0, so a corner keeps its own u.
-    u, v = np.take(uv, np.take(corners, ids, axis=1), axis=1)
-    for i, j in ((0, 1), (1, 2), (0, 1)):  # a sorting network
-        swap = v[j] < v[i]
-        for x in (u, v):
-            x[i], x[j] = np.where(swap, x[j], x[i]), np.where(swap, x[i], x[j])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = np.divide(*(x[[2, 1, 2]] - x[[0, 0, 1]] for x in (u, v)))  # a-c, a-b, b-c
-    slope[~np.isfinite(slope)] = 0.0
+    plane = np.abs(e2q) <= CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far)
+    # Rows: the projected v-range when every corner is in front, every row otherwise.
     m = CAST_MARGIN_PX
-    row0 = np.ceil(v[0] - m).clip(0, h)
-    nrows = np.maximum(np.floor(v[2] + m).clip(-1, h - 1) - row0 + 1, 0).astype(np.int64)
-    seg = np.repeat(np.arange(len(ids)), nrows)
-    row = np.arange(len(seg)) + (row0 - np.cumsum(nrows) + nrows)[seg]
-    ua, ub, uc, va, vb, vc, kac, kab, kbc = (x[seg] for x in (*u, *v, *slope))
-    y0, y1 = np.maximum(va, row - m), np.minimum(vc, row + m)
-    # Span ends far off screen may overflow to +-inf; the clips bound them.
+    ranged = (np.take(cam[2], corners).min(axis=0) > CAST_Z_EPS) & ~plane
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x0 = ua + (y0 - va) * kac
-        xs = (x0, uc + (y1 - vc) * kac, np.where((y0 < vb) & (vb < y1), ub, x0),
-              np.where(y0 < vb, ua + (y0 - va) * kab, ub + (y0 - vb) * kbc),
-              np.where(y1 > vb, uc + (y1 - vc) * kbc, ub + (y1 - vb) * kab))
-        lo = np.ceil(np.minimum.reduce(xs) - m).clip(0, w)
-        hi = np.floor(np.maximum.reduce(xs) + m).clip(-1, w - 1)
+        v = np.take(cam[1] / cam[2] * camera.fy + camera.cy, corners)
+        row0 = np.where(ranged, np.ceil(v.min(axis=0) - m).clip(0, h), 0)
+        row1 = np.where(ranged, np.floor(v.max(axis=0) + m).clip(-1, h - 1), h - 1)
+    nrows = np.maximum(row1 - row0 + 1, 0).astype(np.int64)
+    seg = np.repeat(np.arange(mesh.num_triangles), nrows)
+    row = np.arange(len(seg)) + (row0 - np.cumsum(nrows) + nrows)[seg]
+    # Columns: edge j-k keeps pixel (x, y) where k . (x - cx, y - cy, 1) >= 0, k = σ (P_j x P_k)
+    # / (fx, fy, 1), zero by the plane rule; at its most lenient y in the row's slab it bounds
+    # x on one side or, with kx = +-0, keeps or empties the row by the sign of that bound.
+    sigma = np.where(plane, 0.0, -np.sign(e2q))
+    pa, pb, pc = (np.take(cam, i, axis=1) for i in corners)
+    lo, hi, empty = -np.inf, np.inf, False
+    for p, r in ((pa, pb), (pb, pc), (pc, pa)):
+        k = (x * sigma / f for x, f in zip(_cross(p, r), (camera.fx, camera.fy, 1.0)))
+        kx, ky, kz = (np.take(x, seg) for x in k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = ky * (row - camera.cy) + np.abs(ky) * m + kz
+            bound = camera.cx - g / kx
+        lo = np.maximum(lo, np.where(kx > 0.0, bound, -np.inf))
+        hi = np.minimum(hi, np.where(kx < 0.0, bound, np.inf))
+        empty = empty | ((kx == 0.0) & (g < 0.0))
+    lo, hi = np.ceil(lo - m).clip(0, w), np.where(empty, -1, np.floor(hi + m).clip(-1, w - 1))
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
     best = np.full(w * h, np.inf)
@@ -158,18 +157,12 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
         last = min(first + CAST_BLOCK, total)
         j0, j1 = np.searchsorted(end, [first, last - 1], side="right")
         span = np.minimum(end[j0:j1 + 1], last) - np.maximum(start[j0:j1 + 1], first)
-        j = np.repeat(ids[seg[j0:j1 + 1]], span)
+        j = np.repeat(seg[j0:j1 + 1], span)
         pix = np.arange(first, last) + np.repeat(base[j0:j1 + 1], span)
         hit, t, _, _ = _moller_trumbore(
             [x[pix] for x in d], *([x[j] for x in vec] for vec in (e1, e2, s)), q, e2q, rows=j
         )
         np.minimum.at(best, pix[hit], t)
-    # Whole-image triangles meet every pixel in order: scalar terms, CAST_BLOCK pixels a call.
-    for i in np.flatnonzero(~spanned):
-        terms = [[x[i] for x in vec] for vec in (e1, e2, s, q)]
-        for px in range(0, len(best), CAST_BLOCK):
-            hit, t, _, _ = _moller_trumbore([x[px:px + CAST_BLOCK] for x in d], *terms, e2q[i])
-            np.minimum.at(best, px + hit, t)
     return best
 
 

@@ -190,12 +190,13 @@ def _cmd_render(args) -> int:
 
 def _cmd_eval(args) -> int:
     report = run_eval(args.gt, args.pred, args.mode, args.dilations)
-    print(report.to_text())
+    text = report.to_text()
+    print(text)
     if args.out:
         out = Path(args.out)
         _probe_writable(out)
         (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-        (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+        (out / "report.txt").write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

@@ -111,6 +111,8 @@ def run_eval(gt_dir, pred_dir, mode: str, dilations=None) -> ReportDocument:
     manifest_paths = find_manifests(gt_dir)
     if not manifest_paths:
         raise InvalidValue(f"no *_manifest.json files under {gt_dir}")
+    if not Path(pred_dir).is_dir():
+        raise InvalidValue(f"prediction directory {pred_dir} is missing or not a directory")
     rows = []
     for path in manifest_paths:
         rows.extend(evaluate_scene(load_manifest(path), gt_dir, pred_dir, mode, dilations))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader
+from .errors import InvalidValue, MalformedHeader
 from .geometry import DepthMap, SegMask, TriMesh, XyzMap
 
 _PFM_SCALE = -1.0  # little-endian
@@ -116,7 +116,10 @@ def _read_pfm(path, magic: bytes, pixel: tuple, cls):
             raise MalformedHeader(f"{vp}: validity mask size differs from the map")
     else:  # the sentinels: NaN in XYZ, -inf in depth
         valid = np.isfinite(data).all(axis=-1) if pixel else np.isfinite(data) & (data > 0)
-    return cls(data, valid)
+    try:
+        return cls(data, valid)
+    except InvalidValue as e:  # a valid pixel the map cannot hold: name the file
+        raise InvalidValue(f"{path}: {e}") from e
 
 
 def read_depth_pfm(path) -> DepthMap:

@@ -11,12 +11,12 @@ Each mesh is cast once into one row of a first-hit table: the ray parameter
 ``t`` of every pixel's nearest hit on that mesh, ``+inf`` on a miss and for
 an empty mesh.  A view of several meshes is the ``np.minimum`` of their
 rows, and a pixel is valid where that minimum is finite.  The cast is
-``bvh.cast_camera_rays``: a triangle is tested, row by row, only against
-the pixel centers within 1e-3 px of its part in that row's 2e-3 px slab;
-one with a corner at camera-frame ``z <= 1e-9``, or whose plane passes
-through the camera center, runs over every pixel in order.  The spans hold
-every pixel the brute-force kernel would hit, with the same kernel inputs,
-so the cast's ``t`` keeps its bits, and so do depths and masks.
+``bvh.cast_camera_rays``: every triangle is tested, row by row, only
+against the pixel centers within 1e-3 px of its part in that row's 2e-3 px
+slab, as its edge planes through the camera center bound it (behind the
+camera too); one whose plane holds the camera center gets every pixel.
+The spans hold every pixel the brute-force kernel would hit, with the same
+kernel inputs, so the cast's ``t`` keeps its bits, and so do depths and masks.
 """
 
 from __future__ import annotations

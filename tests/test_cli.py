@@ -507,6 +507,27 @@ class TestEval:
         assert code == EXIT_DATA
         assert str(empty) in capsys.readouterr().err
 
+    def test_missing_prediction_directory_is_data_error(self, gt_batch, tmp_path, capsys):
+        missing = tmp_path / "nonexist"
+        code = main(["eval", "--gt", str(gt_batch), "--pred", str(missing),
+                     "--mode", "vessel-scale"])
+        assert code == EXIT_DATA
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["vessel-scale", "content-scale"])
+    def test_nan_prediction_names_the_file(self, gt_batch, tmp_path, capsys, mode):
+        # an all-NaN payload beside a validity mask that marks pixels valid
+        pred = tmp_path / "pred"
+        shutil.copytree(gt_batch, pred)
+        bad = pred / "2_vessel_xyz.pfm"
+        blob = bad.read_bytes()
+        payload = 64 * 64 * 3 * 4
+        bad.write_bytes(blob[:-payload] + np.full(payload // 4, np.nan, "<f4").tobytes())
+        code = main(["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", mode])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "finite" in err
+
     @pytest.mark.parametrize(
         "name, blob, mode",
         [

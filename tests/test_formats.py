@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vesselxyz import (
     DepthMap,
+    InvalidValue,
     MalformedHeader,
     SceneConfig,
     SegMask,
@@ -136,6 +137,21 @@ class TestPfm:
         with pytest.raises(MalformedHeader, match="scale must be finite and nonzero") as e:
             read_depth_pfm(path)
         assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("magic, pixel, value, read, need", [
+        (b"Pf", 1, -1.0, read_depth_pfm, "finite and positive"),
+        (b"Pf", 1, 0.0, read_depth_pfm, "finite and positive"),
+        (b"PF", 3, np.nan, read_xyz_pfm, "finite"),
+    ], ids=["negative-depth", "zero-depth", "nan-xyz"])
+    def test_unholdable_valid_pixel_names_the_file(self, tmp_path, magic, pixel, value, read,
+                                                    need):
+        # the validity sibling marks the pixel valid, so the map constructor rejects it
+        path = tmp_path / "m.pfm"
+        path.write_bytes(magic + b"\n1 1\n-1.0\n" + struct.pack(f"<{pixel}f", *[value] * pixel))
+        write_pgm(validity_path(path), SegMask(np.ones((1, 1), bool)))
+        with pytest.raises(InvalidValue, match=f"valid pixels must have {need}") as e:
+            read(path)
+        assert str(e.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "magic, read", [(b"PF", read_depth_pfm), (b"Pf", read_xyz_pfm), (b"P5", read_xyz_pfm)]
