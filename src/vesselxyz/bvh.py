@@ -97,27 +97,12 @@ def _moller_trumbore(d, e1, e2, s, q, e2q, rows=None):
     return cand[ok], t[ok], u[ok], v[ok]
 
 
-def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
-    """Nearest-hit ``t`` of every pixel-center ray of ``camera`` on ``mesh``.
-
-    ``dirs`` are the rays' unit world directions, one row per pixel, best
-    laid out per axis as ``renderer.camera_rays`` makes them.  Returns the
-    ``(H*W,)`` ``t`` that :func:`intersect_rays_brute` gives for those rays,
-    bit for bit; ``+inf`` on a miss.
-    """
-    if mesh.is_empty:
-        raise InvalidValue("cannot intersect an empty mesh")
+def _row_spans(mesh: TriMesh, camera: PinholeCamera, plane, e2q):
+    """Per (triangle, pixel row) segment of the cast: its triangle, first pixel and pixel count."""
     w, h = camera.width, camera.height
     # Per-axis rows of per-corner arrays: each vertex is moved into the camera frame once.
     corners = mesh.triangles.T.copy()
     cam = camera.world_to_camera(mesh.vertices).T.copy()
-    # Kernel terms of every triangle.
-    a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in corners)
-    e1, e2 = b - a, c - a
-    s, q, e2q = _origin_terms(camera.center, a, e1, e2)
-    # The plane rule: |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
-    far = np.maximum(np.maximum(_norm(s), _norm(np.subtract(s, e1))), _norm(np.subtract(s, e2)))
-    plane = np.abs(e2q) <= CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far)
     # Rows: the projected v-range when every corner is in front, every row otherwise.
     m = CAST_MARGIN_PX
     ranged = (np.take(cam[2], corners).min(axis=0) > CAST_Z_EPS) & ~plane
@@ -143,15 +128,37 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
         lo = np.maximum(lo, np.where(kx > 0.0, bound, -np.inf))
         hi = np.minimum(hi, np.where(kx < 0.0, bound, np.inf))
         empty = empty | ((kx == 0.0) & (g < 0.0))
+        del kx, ky, kz, g, bound  # freed before the next edge's are made
     lo, hi = np.ceil(lo - m).clip(0, w), np.where(empty, -1, np.floor(hi + m).clip(-1, w - 1))
-    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    return seg, (row * w + lo).astype(np.int64), np.maximum(hi - lo + 1, 0).astype(np.int64)
+
+
+def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
+    """Nearest-hit ``t`` of every pixel-center ray of ``camera`` on ``mesh``.
+
+    ``dirs`` are the rays' unit world directions, one row per pixel, best
+    laid out per axis as ``renderer.camera_rays`` makes them.  Returns the
+    ``(H*W,)`` ``t`` that :func:`intersect_rays_brute` gives for those rays,
+    bit for bit; ``+inf`` on a miss.
+    """
+    if mesh.is_empty:
+        raise InvalidValue("cannot intersect an empty mesh")
+    # Kernel terms of every triangle.
+    a, b, c = (np.take(mesh.vertices.T, i, axis=1) for i in mesh.triangles.T)
+    e1, e2 = b - a, c - a
+    s, q, e2q = _origin_terms(camera.center, a, e1, e2)
+    # The plane rule: |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
+    far = np.maximum(np.maximum(_norm(s), _norm(np.subtract(s, e1))), _norm(np.subtract(s, e2)))
+    plane = np.abs(e2q) <= CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far)
+    # The span set-up's temporaries are freed before the pairs' are made.
+    seg, base, count = _row_spans(mesh, camera, plane, e2q)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
-    best = np.full(w * h, np.inf)
-    # Spans: fixed blocks of (pixel, triangle) pairs bound the transient memory;
+    best = np.full(camera.width * camera.height, np.inf)
+    # Fixed blocks of (pixel, triangle) pairs bound the transient memory;
     # the k-th pair overall, in segment s, is pixel k + base[s].
     end = np.cumsum(count)
     start = end - count
-    base = (row * w + lo).astype(np.int64) - start
+    base -= start
     total = int(count.sum())
     for first in range(0, total, CAST_BLOCK):
         last = min(first + CAST_BLOCK, total)
@@ -159,17 +166,10 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
         span = np.minimum(end[j0:j1 + 1], last) - np.maximum(start[j0:j1 + 1], first)
         j = np.repeat(seg[j0:j1 + 1], span)
         pix = np.arange(first, last) + np.repeat(base[j0:j1 + 1], span)
-        hit, t, _, _ = _moller_trumbore(
-            [x[pix] for x in d], *([x[j] for x in vec] for vec in (e1, e2, s)), q, e2q, rows=j
-        )
+        terms = ([x[j] for x in vec] for vec in (e1, e2, s))
+        hit, t, _, _ = _moller_trumbore([x[pix] for x in d], *terms, q, e2q, rows=j)
         np.minimum.at(best, pix[hit], t)
     return best
-
-
-def _validate_dirs(dirs: np.ndarray):
-    norms = np.linalg.norm(dirs, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise InvalidValue("ray directions must be normalized and nonzero")
 
 
 def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray):
@@ -187,7 +187,8 @@ def intersect_rays_brute(mesh: TriMesh, origins: np.ndarray, dirs: np.ndarray):
     te1, te2 = verts[tris[:, 1]] - tv0, verts[tris[:, 2]] - tv0
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    _validate_dirs(dirs)
+    if np.any(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) > 1e-9):
+        raise InvalidValue("ray directions must be normalized and nonzero")
     n_rays, n_tris = len(origins), len(tris)
     best_t, best_u, best_v = np.full(n_rays, np.inf), np.zeros(n_rays), np.zeros(n_rays)
     best_tri = np.full(n_rays, -1, dtype=np.int64)
