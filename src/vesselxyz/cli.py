@@ -122,7 +122,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1..20 or 3,5,9")
     gen.add_argument("--config", help="scene config JSON (defaults used otherwise)")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--resolution", type=_resolution, help="override render resolution")
+    gen.add_argument("--resolution", type=_resolution,
+                     help="override resolution; keeps focal_px, so the field of view changes")
     gen.add_argument("--no-meshes", action="store_true", help="skip OBJ export")
 
     ren = sub.add_parser("render", help="replay one manifest's artifacts")
@@ -189,12 +190,13 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out = Path(args.out) if args.out else None
+    if out:  # before scoring, so an unwritable --out prints no report
+        _probe_writable(out)
     report = run_eval(args.gt, args.pred, args.mode, args.dilations)
     text = report.to_text()
     print(text)
-    if args.out:
-        out = Path(args.out)
-        _probe_writable(out)
+    if out:
         (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
         (out / "report.txt").write_text(text, encoding="utf-8")
     return EXIT_OK

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import InvalidValue, MalformedManifest, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
 from .geometry import MaterialVector, PinholeCamera
-from .procgen import SceneConfig, VesselProfile, assemble_scene
+from .procgen import SceneConfig, VesselProfile, _like, assemble_scene
 from .renderer import render_scene
 
 FORMAT_VERSION = 1
@@ -49,14 +49,26 @@ def _record(cls, build=None):
     """Reader of a nested record: an object holding every field of ``cls``.
 
     ``build`` (default ``cls(**d)``) makes the record, so an unknown key
-    fails as the constructor's TypeError.
+    fails as the constructor's TypeError; then every value is checked by ``_numbers``.
     """
     def parse(d):
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:  # a field with a default must still be in the file
             raise InvalidValue(f"missing key {missing[0]!r}")
-        return build(d) if build else cls(**d)
+        record = build(d) if build else cls(**d)
+        _numbers(d, "")
+        return record
     return parse
+
+
+def _numbers(value, where: str) -> None:
+    """InvalidValue naming the first value but a term's ``kind`` that is no number by ``_like``."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if key != "kind":  # a profile term's class name
+                _numbers(item, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+    elif not _like(value, 0.0):
+        raise InvalidValue(f"{where.lstrip('.')}: expected a number, got {value!r}")
 
 
 def _same(value):
@@ -64,19 +76,19 @@ def _same(value):
 
 
 def _format_version(value) -> int:
-    if type(value) is not int or value != FORMAT_VERSION:
+    if not _like(value, 0) or value != FORMAT_VERSION:
         raise InvalidValue(f"expected {FORMAT_VERSION}, got {value!r}")
     return value
 
 
 def _seed(value) -> int:
-    if type(value) is not int or value < 0:  # the rule --seeds applies
+    if not _like(value, 0) or value < 0:  # the rule --seeds applies
         raise InvalidValue(f"expected a non-negative integer, got {value!r}")
     return value
 
 
 def _fraction(value) -> float:
-    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:  # NaN too
+    if not _like(value, 0.0) or not 0.0 <= value <= 1.0:  # NaN too
         raise InvalidValue(f"expected a number in [0, 1], got {value!r}")
     return float(value)
 

@@ -28,6 +28,14 @@ _CAMERA_SALT = 13
 # Caps on the image size and knot count, far above any useful scene.
 _MAX_RESOLUTION = 8192
 _MAX_SAMPLES = 2**20
+# Outside [1e-6, 1e6] meters, rays overflow or a scene degenerates.
+_LENGTH = (1e-6, 1e6)
+_SIGNED = (-1e6, 1e6)
+
+
+def _ranged(default, bounds: tuple):
+    """A config field with its default and its closed (low, high) range, both ends included."""
+    return field(default=default, metadata={"bounds": bounds})
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +99,7 @@ class VesselProfile:
     terms: tuple
     base_radius: float
     height: float
-    samples: int = 1024
+    samples: int
 
     def __post_init__(self):
         if not 2 <= self.samples <= _MAX_SAMPLES:
@@ -131,47 +139,17 @@ class VesselProfile:
 class ProfileConfig:
     """Ranges for random profile generation (uniform draws unless noted)."""
 
-    term_count: tuple = (1, 4)  # inclusive
-    linear_slope: tuple = (-0.5, 0.5)
-    poly_degrees: tuple = (2, 3)
-    poly_coefficient: tuple = (-0.3, 0.3)
-    sin_amplitude_scale: tuple = (0.0, 0.3)  # multiplied by base_radius
-    sin_frequency: tuple = (0.5, 4.0)  # cycles per height
-    base_radius: tuple = (0.02, 0.08)
-    height: tuple = (0.05, 0.25)
-    min_radius: float = 0.005
-    samples: int = 1024
-    max_retries: int = 100
-
-
-# Closed (low, high) bounds on every numeric config field, both ends of a range
-# included.  Outside [1e-6, 1e6] meters, rays overflow or a scene degenerates.
-# SceneConfig.from_dict also needs wall_clearance < min_radius < base_radius[1].
-_LENGTH = (1e-6, 1e6)
-_SIGNED = (-1e6, 1e6)
-_CONFIG_BOUNDS = {
-    "angular_segments": (3, 8192),
-    "vertical_segments": (2, 8192),
-    "resolution": (1, _MAX_RESOLUTION),
-    "wall_clearance": _LENGTH,
-    "fill_fraction": (0.0, 1.0),
-    "camera_distance": _LENGTH,
-    "camera_elevation_deg": _SIGNED,
-    "camera_azimuth_deg": _SIGNED,
-    "focal_px": (1e-6, sys.float_info.max),
-    "ground_half_extent": _LENGTH,
-    "profile.term_count": (0, 64),
-    "profile.linear_slope": _SIGNED,
-    "profile.poly_degrees": (0, 1024),
-    "profile.poly_coefficient": _SIGNED,
-    "profile.sin_amplitude_scale": _SIGNED,
-    "profile.sin_frequency": _SIGNED,
-    "profile.base_radius": _LENGTH,
-    "profile.height": _LENGTH,
-    "profile.min_radius": _LENGTH,
-    "profile.samples": (2, _MAX_SAMPLES),
-    "profile.max_retries": (1, 10_000),
-}
+    term_count: tuple = _ranged((1, 4), (0, 64))  # inclusive
+    linear_slope: tuple = _ranged((-0.5, 0.5), _SIGNED)
+    poly_degrees: tuple = _ranged((2, 3), (0, 1024))
+    poly_coefficient: tuple = _ranged((-0.3, 0.3), _SIGNED)
+    sin_amplitude_scale: tuple = _ranged((0.0, 0.3), _SIGNED)  # multiplied by base_radius
+    sin_frequency: tuple = _ranged((0.5, 4.0), _SIGNED)  # cycles per height
+    base_radius: tuple = _ranged((0.02, 0.08), _LENGTH)
+    height: tuple = _ranged((0.05, 0.25), _LENGTH)
+    min_radius: float = _ranged(0.005, _LENGTH)
+    samples: int = _ranged(1024, (2, _MAX_SAMPLES))
+    max_retries: int = _ranged(100, (1, 10_000))
 
 
 def _config_fields(cls, d, prefix: str = "") -> dict:
@@ -179,14 +157,14 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
 
     Every key must name a field, and every value must have the shape of the
     field's default: a nested config object, an integer, a number, or a list
-    of those of the default's length, each within the field's closed bounds
+    of those of the default's length, each within the field's closed range
     (which NaN and the infinities are not).  MalformedConfig names the first
     bad field.
     """
     if not isinstance(d, dict):
         raise MalformedConfig(f"{prefix.rstrip('.') or 'config'} must be an object, got {d!r}")
     defaults = cls()
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in d.items():
         name = prefix + key
@@ -203,7 +181,7 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
         )
         if not ok:
             raise MalformedConfig(f"field {name!r}: expected the type of {default!r}, got {value!r}")
-        low, high = _CONFIG_BOUNDS[name]
+        low, high = known[key].metadata["bounds"]
         if not all(low <= v <= high for v in items):  # exact for any int, False for NaN
             raise MalformedConfig(f"field {name!r}: must lie in [{low}, {high}], got {value!r}")
         if isinstance(default, tuple) and math.copysign(1, items[1] - items[0]) < 0:  # -0.0 too
@@ -292,7 +270,7 @@ def _revolved_mesh(
 
 
 def profile_to_mesh(
-    profile: VesselProfile, angular_segments: int = 256, vertical_segments: int = 64
+    profile: VesselProfile, angular_segments: int, vertical_segments: int
 ) -> TriMesh:
     """Vessel surface of revolution: closed bottom disk, open top rim."""
     if angular_segments < 3 or vertical_segments < 2:
@@ -306,11 +284,8 @@ def profile_to_mesh(
 
 
 def flat_liquid_fill(
-    profile: VesselProfile,
-    fill_fraction: float,
-    angular_segments: int = 256,
-    vertical_segments: int = 64,
-    clearance: float = 1e-4,
+    profile: VesselProfile, fill_fraction: float, angular_segments: int, vertical_segments: int,
+    clearance: float,
 ) -> TriMesh:
     """Static liquid: the vessel interior up to the fill height, shrunk inward.
 
@@ -335,7 +310,7 @@ def flat_liquid_fill(
     )
 
 
-def opening_plane(profile: VesselProfile, angular_segments: int = 256) -> TriMesh:
+def opening_plane(profile: VesselProfile, angular_segments: int) -> TriMesh:
     """Flat disk spanning the vessel's top rim."""
     if angular_segments < 3:
         raise InvalidValue("need >= 3 angular segments")
@@ -353,7 +328,7 @@ def opening_plane(profile: VesselProfile, angular_segments: int = 256) -> TriMes
 class GroundPlane:
     """Horizontal square ground patch at y = 0."""
 
-    half_extent: float = 2.0
+    half_extent: float
 
     def to_mesh(self) -> TriMesh:
         e = self.half_extent
@@ -369,16 +344,16 @@ class SceneConfig:
     """All knobs for random scene assembly, JSON-serializable."""
 
     profile: ProfileConfig = field(default_factory=ProfileConfig)
-    angular_segments: int = 96
-    vertical_segments: int = 48
-    wall_clearance: float = 1e-4
-    fill_fraction: tuple = (0.2, 0.9)
-    camera_distance: tuple = (0.35, 0.8)  # meters from the vessel centroid
-    camera_elevation_deg: tuple = (10.0, 60.0)
-    camera_azimuth_deg: tuple = (0.0, 360.0)
-    focal_px: float = 320.0
-    resolution: int = 256
-    ground_half_extent: float = 2.0
+    angular_segments: int = _ranged(96, (3, 8192))
+    vertical_segments: int = _ranged(48, (2, 8192))
+    wall_clearance: float = _ranged(1e-4, _LENGTH)
+    fill_fraction: tuple = _ranged((0.2, 0.9), (0.0, 1.0))
+    camera_distance: tuple = _ranged((0.35, 0.8), _LENGTH)  # meters from the vessel centroid
+    camera_elevation_deg: tuple = _ranged((10.0, 60.0), _SIGNED)
+    camera_azimuth_deg: tuple = _ranged((0.0, 360.0), _SIGNED)
+    focal_px: float = _ranged(320.0, (1e-6, sys.float_info.max))
+    resolution: int = _ranged(256, (1, _MAX_RESOLUTION))
+    ground_half_extent: float = _ranged(2.0, _LENGTH)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -467,8 +442,7 @@ def assemble_scene(seed: int, config: SceneConfig | None = None) -> SceneRecord:
     fill_rng = np.random.default_rng([seed, _FILL_SALT])
     fill = float(fill_rng.uniform(*config.fill_fraction))
     content = flat_liquid_fill(
-        profile, fill, config.angular_segments, config.vertical_segments,
-        clearance=config.wall_clearance,
+        profile, fill, config.angular_segments, config.vertical_segments, config.wall_clearance
     )
     opening = opening_plane(profile, config.angular_segments)
 

@@ -351,7 +351,7 @@ def test_c08_procgen_fidelity(tmp_path):
     mesh = profile_to_mesh(cyl, 256, 64)
     lateral = surface_area(mesh) - math.pi
     assert lateral == pytest.approx(2 * math.pi * 1.0 * 2.0, rel=1e-3)
-    liquid = flat_liquid_fill(cyl, 0.5, 256, 64)
+    liquid = flat_liquid_fill(cyl, 0.5, 256, 64, 1e-4)
     assert enclosed_volume(liquid) == pytest.approx(math.pi * 0.5 * 2.0, rel=5e-3)
 
     # truncated cone r(h) = 1 + 0.25 h: lateral area = pi (r0 + r1) slant

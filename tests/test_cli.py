@@ -514,6 +514,17 @@ class TestEval:
         assert code == EXIT_DATA
         assert str(missing) in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_scoring(self, gt_batch, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "report"
+        code = main(["eval", "--gt", str(gt_batch), "--pred", str(gt_batch),
+                     "--mode", "vessel-scale", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.out == ""
+        assert str(out) in captured.err
+
     @pytest.mark.parametrize("mode", ["vessel-scale", "content-scale"])
     def test_nan_prediction_names_the_file(self, gt_batch, tmp_path, capsys, mode):
         # an all-NaN payload beside a validity mask that marks pixels valid

@@ -203,11 +203,22 @@ def test_manifest_with_any_field_changed(tiny_gt, data):
         (("camera", "width"), 32.0),
         (("camera", "height"), 16.5),
         (("profile", "terms", 0, "kind"), "Cubic"),
+        (("camera", "fx"), True),
+        (("camera", "cx"), True),
+        (("camera", "rotation", 0, 1), False),  # the entry is 0.0, so the matrix stays a rotation
+        (("profile", "height"), True),
+        (("profile", "terms", 0, "slope"), "0.1"),  # seed 1's first term is a LinearTerm
+        (("vessel_material", "ior"), False),
+        (("content_material", "roughness"), "0.5"),
+        (("vessel_material", "rgb"), ["0.1", "0.2", "0.3"]),
     ],
     ids=["camera-unknown-key", "material-unknown-key", "profile-unknown-key",
          "top-level-unknown-key", "format-version-7", "fill-fraction-string",
          "fill-fraction-bool", "fill-fraction-above-1", "negative-seed",
-         "float-camera-width", "fractional-camera-height", "unknown-term-kind"],
+         "float-camera-width", "fractional-camera-height", "unknown-term-kind",
+         "bool-camera-fx", "bool-camera-cx", "bool-in-camera-rotation", "bool-profile-height",
+         "string-term-slope", "bool-material-ior", "string-material-roughness",
+         "strings-in-material-rgb"],
 )
 def test_rejected_manifest_field_names_file_and_field(tiny_gt, tmp_path, keys, value):
     for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp_path, keys, value):

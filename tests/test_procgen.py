@@ -1,5 +1,6 @@
 """Profiles, surface-of-revolution meshes, liquid fills, scene assembly."""
 
+import json
 import math
 import re
 from collections import Counter
@@ -7,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vesselxyz import (
     GenerationFailed,
@@ -24,7 +27,6 @@ from vesselxyz import (
     opening_plane,
     profile_to_mesh,
 )
-from vesselxyz.procgen import _CONFIG_BOUNDS
 from conftest import (
     enclosed_volume,
     oracle_content_mesh,
@@ -142,12 +144,12 @@ class TestProfileToMesh:
 
 class TestFlatLiquidFill:
     def test_zero_fill_empty(self):
-        mesh = flat_liquid_fill(cylinder(), 0.0)
+        mesh = flat_liquid_fill(cylinder(), 0.0, 256, 64, CLEARANCE)
         assert mesh.is_empty
 
     def test_cylinder_volume_closed_form(self):
         r, height, f = 1.0, 2.0, 0.5
-        mesh = flat_liquid_fill(cylinder(r, height), f, 256, 64)
+        mesh = flat_liquid_fill(cylinder(r, height), f, 256, 64, CLEARANCE)
         assert enclosed_volume(mesh) == pytest.approx(
             math.pi * r * r * f * height, rel=5e-3
         )
@@ -156,14 +158,14 @@ class TestFlatLiquidFill:
         # at labware scale the wall clearance matters; compare against the
         # closed form of the shrunken solid exactly as constructed
         r, height, f = 0.04, 0.12, 0.6
-        mesh = flat_liquid_fill(cylinder(r, height), f, 256, 64)
+        mesh = flat_liquid_fill(cylinder(r, height), f, 256, 64, CLEARANCE)
         rr = r - CLEARANCE
         hh = (f * height - CLEARANCE) - CLEARANCE
         assert enclosed_volume(mesh) == pytest.approx(math.pi * rr * rr * hh, rel=2e-4)
 
     def test_full_fill_top_at_rim_minus_clearance(self):
         prof = generate_profile(17)
-        mesh = flat_liquid_fill(prof, 1.0)
+        mesh = flat_liquid_fill(prof, 1.0, 256, 64, CLEARANCE)
         assert mesh.vertices[:, 1].max() == pytest.approx(
             prof.height - CLEARANCE, abs=1e-12
         )
@@ -171,13 +173,13 @@ class TestFlatLiquidFill:
     def test_volume_monotone_in_fill(self):
         prof = generate_profile(8)
         vols = [
-            enclosed_volume(flat_liquid_fill(prof, f, 64, 32))
+            enclosed_volume(flat_liquid_fill(prof, f, 64, 32, CLEARANCE))
             for f in np.linspace(0.0, 1.0, 11)
         ]
         assert all(b >= a - 1e-15 for a, b in zip(vols, vols[1:]))
 
     def test_liquid_mesh_closed(self):
-        mesh = flat_liquid_fill(generate_profile(2), 0.7, 32, 16)
+        mesh = flat_liquid_fill(generate_profile(2), 0.7, 32, 16, CLEARANCE)
         assert all(c == 2 for c in edge_counts(mesh).values())
 
 
@@ -284,15 +286,52 @@ def test_config_field_outside_its_bounds_is_named(inside, outside, field, bounds
 
 
 def test_every_numeric_config_field_has_closed_finite_bounds():
-    defaults = {f"{prefix}{f.name}": getattr(cls(), f.name)
-                for prefix, cls in (("", SceneConfig), ("profile.", ProfileConfig))
-                for f in fields(cls)}
-    del defaults["profile"]
-    assert sorted(_CONFIG_BOUNDS) == sorted(defaults)
-    for name, (low, high) in _CONFIG_BOUNDS.items():
-        assert math.isfinite(low) and math.isfinite(high), name
-        default = defaults[name]
-        assert all(low <= v <= high for v in (default if isinstance(default, tuple) else [default]))
+    for cls in (SceneConfig, ProfileConfig):
+        for f in fields(cls):
+            if f.name == "profile":
+                continue
+            assert "bounds" in f.metadata, f.name
+            low, high = f.metadata["bounds"]
+            assert math.isfinite(low) and math.isfinite(high), f.name
+            default = getattr(cls(), f.name)
+            values = default if isinstance(default, tuple) else [default]
+            assert all(low <= v <= high for v in values), f.name
+
+
+def _within(default, bounds):
+    """JSON values of the default's type and shape that lie in the closed ``bounds``."""
+    low, high = bounds
+    if isinstance(default, tuple):  # a [low, high] range, -0.0 sorted before 0.0
+        return st.lists(_within(default[0], bounds), min_size=2, max_size=2).map(
+            lambda pair: sorted(pair, key=lambda v: (v, math.copysign(1, v)))
+        )
+    integers = st.integers(math.ceil(low), math.floor(high))
+    return integers if isinstance(default, int) else st.one_of(st.floats(low, high), integers)
+
+
+def _in_range(cls):
+    """Every field of ``cls`` but a nested config, each drawn within its declared range.
+
+    Deferred, so a field without a range fails this test and not the module's collection.
+    """
+    return st.deferred(lambda: st.fixed_dictionaries({
+        f.name: _within(getattr(cls(), f.name), f.metadata["bounds"])
+        for f in fields(cls) if f.name != "profile"
+    }))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_in_range(SceneConfig), profile=_in_range(ProfileConfig))
+def test_config_in_range_survives_json_round_trip(scene, profile):
+    # the cross-field rules, wall_clearance < profile.min_radius < profile.base_radius[1],
+    # met by sorting three draws from the one length range these fields share
+    low, top = profile["base_radius"]
+    clearance, limit, top = sorted([scene["wall_clearance"], profile["min_radius"], top])
+    assume(clearance < limit < top)
+    profile = {**profile, "min_radius": limit, "base_radius": [low, top]}
+    doc = {"profile": profile, **scene, "wall_clearance": clearance}
+    text = json.dumps(doc, sort_keys=True)  # the draws do not keep the fields' order
+    assert json.dumps(SceneConfig.from_dict(json.loads(text)).to_dict(), sort_keys=True) == text
 
 
 class TestAssembleScene:
