@@ -15,9 +15,8 @@ from .errors import (
     GenerationFailed,
     InvalidEndpoint,
     InvalidValue,
-    MalformedConfig,
+    MalformedDocument,
     MalformedHeader,
-    MalformedManifest,
     TooFewPoints,
     VesselXyzError,
 )

@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .errors import GenerationFailed, InvalidValue, MalformedConfig, VesselXyzError
+from .errors import GenerationFailed, InvalidValue, VesselXyzError
 from .evaluation import MODES, run_eval
 from .formats import read_depth_pfm, read_pgm, read_xyz_pfm, write_pfm
 from .geometry import PinholeCamera, build_pair_set, checked_dilations, valid_region
 from .losses import LOSS_KINDS, scale_invariant_loss, translation_invariant_loss
-from .manifest import emit_scene, load_manifest
-from .procgen import _MAX_RESOLUTION, SceneConfig
+from .manifest import emit_scene, load_manifest, read_document
+from .procgen import MAX_RESOLUTION, SceneConfig
 from .renderer import CLEAN_MAX_OFFSET, clean_depth
 
 EXIT_OK = 0
@@ -73,8 +72,8 @@ def parse_dilations(text: str) -> tuple:
 
 def _resolution(text: str) -> int:
     value = _positive(int(text))
-    if value > _MAX_RESOLUTION:
-        raise _UsageError(f"must be at most {_MAX_RESOLUTION}, got {value}")
+    if value > MAX_RESOLUTION:
+        raise _UsageError(f"must be at most {MAX_RESOLUTION}, got {value}")
     return value
 
 
@@ -89,17 +88,7 @@ def _positive(value):
 
 
 def _load_config(path: str | None, resolution: int | None) -> SceneConfig:
-    if path is None:
-        config = SceneConfig()
-    else:
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
-            raise MalformedConfig(f"{path}: not a JSON document: {e}") from e
-        try:
-            config = SceneConfig.from_dict(d)
-        except MalformedConfig as e:
-            raise MalformedConfig(f"{path}: {e}") from e
+    config = SceneConfig() if path is None else read_document(path, SceneConfig.from_dict)
     if resolution is not None:
         config = replace(config, resolution=resolution)
     return config

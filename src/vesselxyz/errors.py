@@ -46,9 +46,5 @@ class MalformedHeader(VesselXyzError):
     """A PFM/PGM header is not what the reader expects, or declares more payload than the file holds."""
 
 
-class MalformedConfig(VesselXyzError):
-    """A scene config is not JSON, or has an unknown key, a wrong type or a value out of range."""
-
-
-class MalformedManifest(VesselXyzError):
-    """A scene manifest is not valid JSON or lacks or garbles a field."""
+class MalformedDocument(VesselXyzError):
+    """A scene config or manifest is not JSON, or has an unknown or missing key, or a bad value."""

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InvalidValue, MalformedManifest, VesselXyzError
+from .errors import InvalidValue, VesselXyzError
 from .formats import read_pgm, read_xyz_pfm
 from .geometry import valid_region
-from .manifest import ROLES, SceneManifest, load_manifest
+from .manifest import ROLES, SceneManifest, find_manifests, load_manifest
 from .metrics import evaluate_xyz, seg_eval, similarity_from_region
 from .report import SEG_COLUMNS, XYZ_COLUMNS, ReportDocument
 
@@ -33,29 +33,22 @@ REFERENCE = {  # per xyz mode, the role whose similarity aligns each role
 }
 
 
-def find_manifests(gt_dir) -> list:
-    return sorted(Path(gt_dir).glob("*_manifest.json"), key=_manifest_seed)
-
-
-def _manifest_seed(path: Path) -> int:
-    try:
-        return int(path.name.split("_", 1)[0])
-    except ValueError as e:
-        raise MalformedManifest(f"{path}: file name does not start with an integer seed") from e
-
-
 def evaluate_scene(manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilations=None) -> list:
     """Metric rows for one scene's vessel/content/opening predictions.
 
     Per role the GT xyz map (xyz modes only), the GT mask and the prediction
-    are read first, so a file that exists but cannot be read raises.  A
-    role's row is absent when its prediction file is missing or scoring it
-    raises a VesselXyzError.
+    are read first, so a file that exists but cannot be read raises.
 
     In the xyz modes a role is aligned by its REFERENCE role's similarity,
-    estimated once over ``valid_region(gt mask, gt xyz, prediction)``; when
-    that prediction is missing or the estimate fails, every role it serves
-    is absent.  Dilations default to the ladder for the map size.
+    estimated once over ``valid_region(gt mask, gt xyz, prediction)``, and
+    its row's ``k`` is that similarity's scale.  Dilations default to the
+    ladder for the map size.
+
+    A row that cannot be scored is absent, and its ``missing`` holds why, in
+    this order: ``not-in-view`` (the GT mask is empty), ``no-file`` (no
+    prediction file), ``no-reference`` (another role's similarity, which
+    this role needs, could not be estimated) or ``unscorable`` (scoring, or
+    estimating the role's own similarity, raised a VesselXyzError).
     """
     gt_dir, pred_dir = Path(gt_dir), Path(pred_dir)
     xyz = mode != "segmentation"
@@ -87,19 +80,26 @@ def evaluate_scene(manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilatio
         transform = transforms.get(refs.get(role))
         try:
             if pred is None or (xyz and transform is None):
-                report = None
+                values = None
             elif xyz:
                 mask = region(role)
                 report = evaluate_xyz(transform.apply(pred, mask), gt_maps[role], mask)
+                values = {**vars(report), "k": transform.k}
             else:
-                report = seg_eval(pred, gt_masks[role])
+                values = vars(seg_eval(pred, gt_masks[role]))
         except VesselXyzError:
-            report = None
+            values = None
         row = {"seed": manifest.seed, "object": role}
-        if report is None:
-            row["missing"] = True
+        if values is not None:
+            row.update({col: values[col] for col in COLUMNS[mode]})
+        elif not gt_masks[role].count:
+            row["missing"] = "not-in-view"
+        elif pred is None:
+            row["missing"] = "no-file"
+        elif xyz and transform is None and refs[role] != role:
+            row["missing"] = "no-reference"
         else:
-            row.update({col: getattr(report, col) for col in COLUMNS[mode]})
+            row["missing"] = "unscorable"
         rows.append(row)
     return rows
 

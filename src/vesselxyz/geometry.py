@@ -35,7 +35,7 @@ MESH_LABELS = ("vessel", "content", "opening", "ground")
 IOR_PHYSICAL_RANGE = (1.0, 2.0)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
     """Read-only contiguous view of ``a``; ``a`` itself keeps its flags."""
     out = np.ascontiguousarray(a).view()
     out.flags.writeable = False
@@ -52,7 +52,7 @@ class SegMask:
         v = np.asarray(self.values, dtype=bool)
         if v.ndim != 2:
             raise DimensionMismatch(f"mask must be 2-D, got shape {v.shape}")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", frozen(v))
 
     @property
     def height(self) -> int:
@@ -85,8 +85,8 @@ def _init_map(m, field: str, pixel: tuple, positive: bool) -> None:
         need = "finite and positive" if positive else "finite"
         raise InvalidValue(f"valid pixels must have {need} {field}")
     fill = valid[..., None] if pixel else valid
-    object.__setattr__(m, field, _frozen(np.where(fill, values, np.nan)))
-    object.__setattr__(m, "valid", _frozen(valid))
+    object.__setattr__(m, field, frozen(np.where(fill, values, np.nan)))
+    object.__setattr__(m, "valid", frozen(valid))
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ class PinholeCamera:
             raise InvalidValue("camera focal lengths, rotation and translation must be finite")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise InvalidValue("rotation must be orthonormal with determinant +1")
-        object.__setattr__(self, "rotation", _frozen(r))
-        object.__setattr__(self, "translation", _frozen(t))
+        object.__setattr__(self, "rotation", frozen(r))
+        object.__setattr__(self, "translation", frozen(t))
 
     @property
     def center(self) -> np.ndarray:
@@ -203,8 +203,8 @@ class PairSet:
             raise InvalidValue(f"pair indices must be integers, got {a.dtype} and {b.dtype}")
         if a.size and not (min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < h * w):
             raise InvalidValue(f"pair indices must lie in [0, {h * w}) for shape {(h, w)}")
-        object.__setattr__(self, "first", _frozen(a.astype(np.int64, copy=False)))
-        object.__setattr__(self, "second", _frozen(b.astype(np.int64, copy=False)))
+        object.__setattr__(self, "first", frozen(a.astype(np.int64, copy=False)))
+        object.__setattr__(self, "second", frozen(b.astype(np.int64, copy=False)))
         object.__setattr__(self, "shape", (h, w))
 
     def __len__(self) -> int:
@@ -233,8 +233,8 @@ class TriMesh:
             raise DimensionMismatch("triangle indices out of range")
         if not np.all(np.isfinite(v)):
             raise InvalidValue("mesh vertices must be finite")
-        object.__setattr__(self, "vertices", _frozen(v))
-        object.__setattr__(self, "triangles", _frozen(t))
+        object.__setattr__(self, "vertices", frozen(v))
+        object.__setattr__(self, "triangles", frozen(t))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN here
             areas = self.triangle_areas()
         if not np.all((areas > MIN_TRIANGLE_AREA) & (areas < np.inf)):

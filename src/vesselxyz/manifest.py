@@ -18,17 +18,19 @@ constructors, so an unknown key in one is an error, as is a missing one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import InvalidValue, MalformedManifest, VesselXyzError
+from .errors import InvalidValue, MalformedDocument, VesselXyzError
 from .formats import write_obj, write_pfm, write_pgm
 from .geometry import MaterialVector, PinholeCamera
-from .procgen import SceneConfig, VesselProfile, _like, assemble_scene
+from .procgen import ProfileConfig, SceneConfig, VesselProfile, assemble_scene, like
 from .renderer import render_scene
 
 FORMAT_VERSION = 1
 ROLES = ("vessel", "content", "opening")
+_DEGREES = ProfileConfig.__dataclass_fields__["poly_degrees"].metadata["bounds"]
 
 
 def artifact_name(seed: int, role: str, kind: str) -> str:
@@ -40,6 +42,17 @@ def manifest_name(seed: int) -> str:
     return f"{seed}_manifest.json"
 
 
+def find_manifests(gt_dir) -> list:
+    return sorted(Path(gt_dir).glob(manifest_name("*")), key=_manifest_seed)
+
+
+def _manifest_seed(path: Path) -> int:
+    try:
+        return int(path.name.split("_", 1)[0])
+    except ValueError as e:
+        raise MalformedDocument(f"{path}: file name does not start with an integer seed") from e
+
+
 def _camera_to_dict(camera: PinholeCamera) -> dict:
     arrays = {"rotation": camera.rotation.tolist(), "translation": camera.translation.tolist()}
     return {**asdict(camera), **arrays}
@@ -48,27 +61,34 @@ def _camera_to_dict(camera: PinholeCamera) -> dict:
 def _record(cls, build=None):
     """Reader of a nested record: an object holding every field of ``cls``.
 
-    ``build`` (default ``cls(**d)``) makes the record, so an unknown key
-    fails as the constructor's TypeError; then every value is checked by ``_numbers``.
+    Every value is checked by ``_numbers`` first; then ``build`` (default
+    ``cls(**d)``) makes the record, so an unknown key fails as the
+    constructor's TypeError.
     """
     def parse(d):
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:  # a field with a default must still be in the file
             raise InvalidValue(f"missing key {missing[0]!r}")
-        record = build(d) if build else cls(**d)
         _numbers(d, "")
-        return record
+        return build(d) if build else cls(**d)
     return parse
 
 
 def _numbers(value, where: str) -> None:
-    """InvalidValue naming the first value but a term's ``kind`` that is no number by ``_like``."""
+    """InvalidValue naming the first value but a term's ``kind`` that is no finite number.
+
+    A number is one by ``like``; a profile term's ``degree`` is also an
+    integer in the range of ``ProfileConfig.poly_degrees``.
+    """
+    low, high = _DEGREES
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             if key != "kind":  # a profile term's class name
                 _numbers(item, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
-    elif not _like(value, 0.0):
-        raise InvalidValue(f"{where.lstrip('.')}: expected a number, got {value!r}")
+    elif not like(value, 0.0) or (isinstance(value, float) and not math.isfinite(value)):
+        raise InvalidValue(f"{where.lstrip('.')}: expected a finite number, got {value!r}")
+    elif where.endswith(".degree") and not (like(value, 0) and low <= value <= high):
+        raise InvalidValue(f"{where.lstrip('.')}: expected an integer in [{low}, {high}], got {value}")
 
 
 def _same(value):
@@ -76,19 +96,19 @@ def _same(value):
 
 
 def _format_version(value) -> int:
-    if not _like(value, 0) or value != FORMAT_VERSION:
+    if not like(value, 0) or value != FORMAT_VERSION:
         raise InvalidValue(f"expected {FORMAT_VERSION}, got {value!r}")
     return value
 
 
 def _seed(value) -> int:
-    if not _like(value, 0) or value < 0:  # the rule --seeds applies
+    if not like(value, 0) or value < 0:  # the rule --seeds applies
         raise InvalidValue(f"expected a non-negative integer, got {value!r}")
     return value
 
 
 def _fraction(value) -> float:
-    if not _like(value, 0.0) or not 0.0 <= value <= 1.0:  # NaN too
+    if not like(value, 0.0) or not 0.0 <= value <= 1.0:  # NaN too
         raise InvalidValue(f"expected a number in [0, 1], got {value!r}")
     return float(value)
 
@@ -137,7 +157,7 @@ class SceneManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneManifest":
-        """Parse a manifest document; MalformedManifest names the bad field."""
+        """Parse a manifest document; MalformedDocument names the bad field."""
         values = {}
         for name, _, parse in _FIELDS:
             try:
@@ -146,10 +166,10 @@ class SceneManifest:
                 AttributeError, KeyError, OverflowError, TypeError, ValueError, VesselXyzError
             ) as e:
                 why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-                raise MalformedManifest(f"field {name!r}: {why}") from e
+                raise MalformedDocument(f"field {name!r}: {why}") from e
         unknown = sorted(set(d) - set(values))
         if unknown:
-            raise MalformedManifest(f"field {unknown[0]!r}: unknown key")
+            raise MalformedDocument(f"field {unknown[0]!r}: unknown key")
         return cls(**values)
 
 
@@ -157,15 +177,20 @@ def write_manifest(manifest: SceneManifest, path) -> None:
     Path(path).write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-def load_manifest(path) -> SceneManifest:
+def read_document(path, parse):
+    """``parse`` of the JSON document at ``path``; every MalformedDocument names the file."""
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
-        raise MalformedManifest(f"{path}: not a JSON document: {e}") from e
+        raise MalformedDocument(f"{path}: not a JSON document: {e}") from e
     try:
-        return SceneManifest.from_dict(d)
-    except MalformedManifest as e:
-        raise MalformedManifest(f"{path}: {e}") from e
+        return parse(d)
+    except MalformedDocument as e:
+        raise MalformedDocument(f"{path}: {e}") from e
+
+
+def load_manifest(path) -> SceneManifest:
+    return read_document(path, SceneManifest.from_dict)
 
 
 def emit_scene(seed: int, config: SceneConfig, out_dir, write_meshes: bool = True) -> SceneManifest:

@@ -256,20 +256,3 @@ def evaluate_xyz(pred_points: np.ndarray, gt: XyzMap, mask: SegMask) -> EvalRepo
         chamfer_over_maxdst=cd / diameter,
         r_squared=r2,
     )
-
-
-__all__ = [
-    "EvalReport",
-    "SegReport",
-    "MaterialErrors",
-    "SimilarityTransform",
-    "mae_points",
-    "mad",
-    "max_dst",
-    "r_squared",
-    "chamfer",
-    "similarity_from_region",
-    "seg_eval",
-    "material_mae",
-    "evaluate_xyz",
-]

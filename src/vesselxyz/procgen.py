@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidValue, MalformedConfig
-from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, _frozen
+from .errors import GenerationFailed, InvalidValue, MalformedDocument
+from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, frozen
 
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
 _CAMERA_SALT = 13
 # Caps on the image size and knot count, far above any useful scene.
-_MAX_RESOLUTION = 8192
+MAX_RESOLUTION = 8192
 _MAX_SAMPLES = 2**20
 # Outside [1e-6, 1e6] meters, rays overflow or a scene degenerates.
 _LENGTH = (1e-6, 1e6)
@@ -116,8 +116,8 @@ class VesselProfile:
         radii = np.empty_like(hs)
         radii[0] = self.base_radius
         radii[1:] = self.base_radius + np.cumsum((deriv[1:] + deriv[:-1]) * (0.5 * dh))
-        object.__setattr__(self, "_knot_heights", _frozen(hs))
-        object.__setattr__(self, "_knot_radii", _frozen(radii))
+        object.__setattr__(self, "_knot_heights", frozen(hs))
+        object.__setattr__(self, "_knot_radii", frozen(radii))
 
     def radius(self, h) -> np.ndarray:
         """Interpolated radius at height(s) h (clamped to [0, height])."""
@@ -158,18 +158,18 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
     Every key must name a field, and every value must have the shape of the
     field's default: a nested config object, an integer, a number, or a list
     of those of the default's length, each within the field's closed range
-    (which NaN and the infinities are not).  MalformedConfig names the first
+    (which NaN and the infinities are not).  MalformedDocument names the first
     bad field.
     """
     if not isinstance(d, dict):
-        raise MalformedConfig(f"{prefix.rstrip('.') or 'config'} must be an object, got {d!r}")
+        raise MalformedDocument(f"{prefix.rstrip('.') or 'config'} must be an object, got {d!r}")
     defaults = cls()
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in d.items():
         name = prefix + key
         if key not in known:
-            raise MalformedConfig(f"field {name!r}: unknown key")
+            raise MalformedDocument(f"field {name!r}: unknown key")
         default = getattr(defaults, key)
         if is_dataclass(default):
             kwargs[key] = type(default)(**_config_fields(type(default), value, name + "."))
@@ -177,20 +177,20 @@ def _config_fields(cls, d, prefix: str = "") -> dict:
         items = value if isinstance(default, tuple) else [value]
         wanted = default if isinstance(default, tuple) else [default]
         ok = isinstance(items, list) and len(items) == len(wanted) and all(
-            _like(v, w) for v, w in zip(items, wanted)
+            like(v, w) for v, w in zip(items, wanted)
         )
         if not ok:
-            raise MalformedConfig(f"field {name!r}: expected the type of {default!r}, got {value!r}")
+            raise MalformedDocument(f"field {name!r}: expected the type of {default!r}, got {value!r}")
         low, high = known[key].metadata["bounds"]
         if not all(low <= v <= high for v in items):  # exact for any int, False for NaN
-            raise MalformedConfig(f"field {name!r}: must lie in [{low}, {high}], got {value!r}")
+            raise MalformedDocument(f"field {name!r}: must lie in [{low}, {high}], got {value!r}")
         if isinstance(default, tuple) and math.copysign(1, items[1] - items[0]) < 0:  # -0.0 too
-            raise MalformedConfig(f"field {name!r}: low end above high end in {value!r}")
+            raise MalformedDocument(f"field {name!r}: low end above high end in {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return kwargs
 
 
-def _like(value, default) -> bool:
+def like(value, default) -> bool:
     """An integer where the default is one, else an integer or a float; never a bool."""
     if isinstance(value, bool):
         return False
@@ -352,7 +352,7 @@ class SceneConfig:
     camera_elevation_deg: tuple = _ranged((10.0, 60.0), _SIGNED)
     camera_azimuth_deg: tuple = _ranged((0.0, 360.0), _SIGNED)
     focal_px: float = _ranged(320.0, (1e-6, sys.float_info.max))
-    resolution: int = _ranged(256, (1, _MAX_RESOLUTION))
+    resolution: int = _ranged(256, (1, MAX_RESOLUTION))
     ground_half_extent: float = _ranged(2.0, _LENGTH)
 
     def to_dict(self) -> dict:
@@ -360,16 +360,16 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
-        """Parse a config object; MalformedConfig names an unknown or bad field."""
+        """Parse a config object; MalformedDocument names an unknown or bad field."""
         config = cls(**_config_fields(cls, d))
         clearance, limit = config.wall_clearance, config.profile.min_radius
         if clearance >= limit:  # so content radii, at least knot radii - clearance, stay positive
-            raise MalformedConfig(
+            raise MalformedDocument(
                 f"field 'wall_clearance': must be < profile.min_radius {limit}, got {clearance}"
             )
         top = config.profile.base_radius[1]
         if limit >= top:  # a profile's first knot radius is its base radius, at most top
-            raise MalformedConfig(
+            raise MalformedDocument(
                 f"field 'profile.min_radius': must be < profile.base_radius[1] {top}, got {limit}"
             )
         return config

@@ -24,6 +24,7 @@ XYZ_COLUMNS = (
     "chamfer_over_mad",
     "chamfer_over_maxdst",
     "r_squared",
+    "k",
 )
 SEG_COLUMNS = ("iou", "precision", "recall")
 
@@ -54,9 +55,9 @@ class ReportDocument:
     def build(cls, mode: str, columns, rows: list) -> "ReportDocument":
         """Assemble a document, deriving aggregates from the rows.
 
-        Rows are dicts with "seed", "object", optionally "missing": True,
-        and one value per column.  Aggregates are numpy means over present
-        rows, computed overall and per object label.
+        Rows are dicts with "seed", "object" and either one value per column
+        or "missing", the reason code of an absent row.  Aggregates are numpy
+        means over present rows, computed overall and per object label.
         """
         present = [r for r in rows if not r.get("missing")]
         groups = {"overall": present}
@@ -77,7 +78,7 @@ class ReportDocument:
         lines = [",".join(header)]
         for r in self.rows:
             if r.get("missing"):
-                cells = [str(r["seed"]), r["object"], "true"] + [""] * len(self.columns)
+                cells = [str(r["seed"]), r["object"], r["missing"]] + [""] * len(self.columns)
             else:
                 cells = [str(r["seed"]), r["object"], "false"] + [
                     repr(float(r[c])) for c in self.columns
@@ -98,7 +99,7 @@ class ReportDocument:
         table = [header]
         for r in self.rows:
             if r.get("missing"):
-                table.append([str(r["seed"]), r["object"]] + ["absent"] * len(self.columns))
+                table.append([str(r["seed"]), r["object"]] + [r["missing"]] * len(self.columns))
             else:
                 table.append(
                     [str(r["seed"]), r["object"]] + [fmt(c, r[c]) for c in self.columns]

@@ -407,6 +407,8 @@ def test_c09_closed_loop_harness(scene_batch, tmp_path):
     rows = _report_rows((rep_dir / "report.csv").read_text())
     data = [r for r in rows if r["seed"] != "mean" and r["missing"] == "false"]
     assert len(data) >= 50  # 20 scenes x 3 objects minus degenerate views
+    absent = {r["missing"] for r in rows if r["seed"] != "mean" and r["missing"] != "false"}
+    assert absent <= {"not-in-view"}  # GT scores against itself wherever it is in view
     for r in data:
         assert float(r["mae"]) == 0.0
         assert float(r["chamfer"]) == 0.0

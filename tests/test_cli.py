@@ -43,20 +43,27 @@ def _small_xyz(size: int) -> vesselxyz.XyzMap:
     return vesselxyz.XyzMap(coords, np.ones((size, size), bool))
 
 
-# Seed 2's absent objects per damaged prediction and eval mode.  Vessel-scale
-# aligns every object by the vessel's similarity, so an unscorable vessel
-# blocks all three rows there; content-scale aligns each object by itself.
+# Seed 2's absent objects and their reason codes per damaged prediction and
+# eval mode.  Vessel-scale aligns every object by the vessel's similarity, so
+# an unscorable vessel blocks all three rows there; content-scale aligns each
+# object by itself.
 _MODES = ("vessel-scale", "content-scale", "segmentation")
-_ALL = {"vessel", "content", "opening"}
-_VESSEL = {"vessel-scale": _ALL, "content-scale": {"vessel"}, "segmentation": {"vessel"}}
+
+
+def _vessel(code):
+    alone = {"vessel": code}
+    blocked = {**alone, "content": "no-reference", "opening": "no-reference"}
+    return {"vessel-scale": blocked, "content-scale": alone, "segmentation": alone}
+
+
 ABSENT_ROWS = {
-    "missing-vessel": _VESSEL,
-    "missing-content": dict.fromkeys(_MODES, {"content"}),
-    "missing-opening": dict.fromkeys(_MODES, {"opening"}),
-    "wrong-size-vessel": _VESSEL,
+    "missing-vessel": _vessel("no-file"),
+    "missing-content": dict.fromkeys(_MODES, {"content": "no-file"}),
+    "missing-opening": dict.fromkeys(_MODES, {"opening": "no-file"}),
+    "wrong-size-vessel": _vessel("unscorable"),
     # constant XYZ maps leave the masks intact, so segmentation scores them
-    "constant-vessel": {**_VESSEL, "segmentation": set()},
-    "constant-content": {**dict.fromkeys(_MODES, set()), "content-scale": {"content"}},
+    "constant-vessel": {**_vessel("unscorable"), "segmentation": {}},
+    "constant-content": {**dict.fromkeys(_MODES, {}), "content-scale": {"content": "unscorable"}},
 }
 
 
@@ -498,7 +505,8 @@ class TestEval:
             ["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", "vessel-scale"]
         )
         assert code == EXIT_OK
-        assert "absent" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "no-file" in out and "no-reference" in out
 
     def test_no_manifests_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -681,8 +689,8 @@ class TestEval:
         )
         assert code == EXIT_OK
         rows = [r.split(",") for r in (tmp_path / "report" / "report.csv").read_text().splitlines()]
-        missing = {(r[0], r[1]) for r in rows[1:] if r[2] == "true"}
-        assert missing == {("1", "vessel")}
+        missing = {(r[0], r[1]): r[2] for r in rows[1:] if r[2] != "false"}
+        assert missing == {("1", "vessel"): "unscorable"}
 
     @pytest.mark.parametrize("mode", _MODES)
     @pytest.mark.parametrize("cause", list(ABSENT_ROWS))
@@ -707,8 +715,8 @@ class TestEval:
         )
         assert code == EXIT_OK
         rows = [r.split(",") for r in (out / "report.csv").read_text().splitlines()[1:]]
-        absent = {(r[0], r[1]) for r in rows if r[2] == "true"}
-        assert absent == {("2", role) for role in ABSENT_ROWS[cause][mode]}
+        absent = {(r[0], r[1]): r[2] for r in rows if r[2] != "false"}
+        assert absent == {("2", role): why for role, why in ABSENT_ROWS[cause][mode].items()}
 
 
 class TestLoss:

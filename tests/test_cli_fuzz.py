@@ -188,6 +188,9 @@ def test_manifest_with_any_field_changed(tiny_gt, data):
             assert code == EXIT_OK or path in err, (command, err)
 
 
+_POLYNOMIAL = {"kind": "PolynomialTerm", "coefficient": 0.1, "degree": 2}
+
+
 @pytest.mark.parametrize(
     "keys, value",
     [
@@ -211,6 +214,12 @@ def test_manifest_with_any_field_changed(tiny_gt, data):
         (("vessel_material", "ior"), False),
         (("content_material", "roughness"), "0.5"),
         (("vessel_material", "rgb"), ["0.1", "0.2", "0.3"]),
+        (("profile", "terms"), [_POLYNOMIAL | {"degree": -1}]),
+        (("profile", "terms"), [_POLYNOMIAL | {"degree": 2.5}]),
+        (("profile", "terms"), [_POLYNOMIAL | {"degree": 5000}]),  # above poly_degrees' 1024
+        (("profile", "terms", 0, "slope"), float("nan")),
+        (("profile", "terms"),
+         [{"kind": "SinusoidTerm", "amplitude": float("inf"), "frequency": 1.0, "phase": 0.0}]),
     ],
     ids=["camera-unknown-key", "material-unknown-key", "profile-unknown-key",
          "top-level-unknown-key", "format-version-7", "fill-fraction-string",
@@ -218,7 +227,8 @@ def test_manifest_with_any_field_changed(tiny_gt, data):
          "float-camera-width", "fractional-camera-height", "unknown-term-kind",
          "bool-camera-fx", "bool-camera-cx", "bool-in-camera-rotation", "bool-profile-height",
          "string-term-slope", "bool-material-ior", "string-material-roughness",
-         "strings-in-material-rgb"],
+         "strings-in-material-rgb", "negative-term-degree", "fractional-term-degree",
+         "huge-term-degree", "nan-term-slope", "infinite-term-amplitude"],
 )
 def test_rejected_manifest_field_names_file_and_field(tiny_gt, tmp_path, keys, value):
     for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp_path, keys, value):

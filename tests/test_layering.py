@@ -48,11 +48,12 @@ def _below(module: str) -> set:
 
 
 def _relative_imports(path: Path):
+    """(line, sibling module, imported names) of every ``from .module import ...``."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             if node.module is None:  # from . import __version__
                 continue
-            yield node.lineno, node.module.split(".")[0]
+            yield node.lineno, node.module.split(".")[0], [alias.name for alias in node.names]
 
 
 def test_every_module_has_a_layer():
@@ -63,10 +64,21 @@ def test_imports_point_down_the_dag():
     upward = [
         f"{path.name}:{line} imports .{target}"
         for path in sorted(SRC.glob("*.py"))
-        for line, target in _relative_imports(path)
+        for line, target, _ in _relative_imports(path)
         if target not in _below(path.stem)
     ]
     assert not upward
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [
+        f"{path.name}:{line} imports .{target}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, target, names in _relative_imports(path)
+        for name in names
+        if name.startswith("_")
+    ]
+    assert not private
 
 
 # scipy serves only metrics.chamfer, which imports it on its first call.

@@ -15,7 +15,7 @@ from vesselxyz import (
     GenerationFailed,
     InvalidValue,
     LinearTerm,
-    MalformedConfig,
+    MalformedDocument,
     PolynomialTerm,
     ProfileConfig,
     SceneConfig,
@@ -245,7 +245,7 @@ def test_config_size_fields_are_capped(field, cap):
         return value
 
     SceneConfig.from_dict(doc(cap))  # a config builds no mesh or image, so this allocates nothing
-    with pytest.raises(MalformedConfig, match=rf"'{field}': must lie in \[.+, {cap}\]"):
+    with pytest.raises(MalformedDocument, match=rf"'{field}': must lie in \[.+, {cap}\]"):
         SceneConfig.from_dict(doc(cap + 1))
 
 
@@ -254,7 +254,7 @@ def test_config_size_fields_are_capped(field, cap):
 )
 def test_config_signed_profile_fields_are_capped_below(field):
     SceneConfig.from_dict({"profile": {field: [-1e6, 0.0]}})
-    with pytest.raises(MalformedConfig, match=rf"'profile.{field}': must lie in \[-1000000.0, "):
+    with pytest.raises(MalformedDocument, match=rf"'profile.{field}': must lie in \[-1000000.0, "):
         SceneConfig.from_dict({"profile": {field: [-1e6 - 1, 0.0]}})
 
 
@@ -281,7 +281,7 @@ def test_config_signed_profile_fields_are_capped_below(field):
 )
 def test_config_field_outside_its_bounds_is_named(inside, outside, field, bounds):
     SceneConfig.from_dict(inside)
-    with pytest.raises(MalformedConfig, match=re.escape(f"'{field}': must lie in {bounds}")):
+    with pytest.raises(MalformedDocument, match=re.escape(f"'{field}': must lie in {bounds}")):
         SceneConfig.from_dict(outside)
 
 

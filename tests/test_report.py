@@ -18,7 +18,7 @@ class TestReportDocument:
             _xyz_row(1, "vessel", 0.25),
             _xyz_row(1, "content", 0.5),
             _xyz_row(2, "vessel", 0.125),
-            {"seed": 2, "object": "content", "missing": True},
+            {"seed": 2, "object": "content", "missing": "no-file"},
         ]
         doc = ReportDocument.build("vessel-scale", XYZ_COLUMNS, rows)
         expected_overall = float(np.mean(np.array([0.25, 0.5, 0.125])))
@@ -28,14 +28,15 @@ class TestReportDocument:
         assert doc.aggregates["content"]["mae"] == 0.5  # missing row excluded
 
     def test_csv_round_trip_values(self):
-        rows = [_xyz_row(7, "vessel", 0.1234567890123), {"seed": 7, "object": "content", "missing": True}]
+        rows = [_xyz_row(7, "vessel", 0.1234567890123),
+                {"seed": 7, "object": "content", "missing": "unscorable"}]
         doc = ReportDocument.build("content-scale", XYZ_COLUMNS, rows)
         lines = doc.to_csv().strip().splitlines()
         header = lines[0].split(",")
         first = dict(zip(header, lines[1].split(",")))
         assert float(first["mae"]) == 0.1234567890123  # repr-exact floats
         absent = dict(zip(header, lines[2].split(",")))
-        assert absent["missing"] == "true" and absent["mae"] == ""
+        assert absent["missing"] == "unscorable" and absent["mae"] == ""
 
     def test_text_table_percent_columns(self):
         rows = [{"seed": 3, "object": "vessel", "iou": 0.5, "precision": 0.75, "recall": 1.0}]
