@@ -1,10 +1,11 @@
 """Build the golden artifacts and write their sha256 digests to ``golden_digests.json``.
 
 The artifacts are what the byte-identity contract covers: ``generate`` with
-meshes of a few seeds at 64x64 and of two 256x256 scenes whose ground
-reaches behind the camera, the ``eval`` reports in every mode on a fixed
-similarity of the 64x64 ground truth, and the ``loss`` printout of both
-kinds.  ``tests/test_golden_digests.py`` rebuilds them and compares.  A
+meshes of a few seeds at 64x64, of two 256x256 scenes whose ground reaches
+behind the camera and of one 32x32 scene whose vessel has over 10k vertices
+(so OBJ face indices reach 5 digits), the ``eval`` reports in every mode on
+a fixed similarity of the 64x64 ground truth, and the ``loss`` printout of
+both kinds.  ``tests/test_golden_digests.py`` rebuilds them and compares.  A
 change that moves artifact bytes on purpose regenerates the file::
 
     PYTHONPATH=src python tests/make_golden_digests.py
@@ -32,6 +33,8 @@ DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 SMALL_SEEDS = "1..3"  # at 64x64, with the default field of view
 SMALL_CONFIG = {"resolution": 64, "focal_px": 80.0}
 FULL_SEEDS = "80,124"  # at the default 256x256; their ground reaches behind the camera
+FINE_SEEDS = "5"  # 256 x 49 ring vertices on the vessel: 5-digit OBJ face indices
+FINE_CONFIG = {"resolution": 32, "focal_px": 40.0, "angular_segments": 256}
 PRED_SCALE = 1.5
 PRED_SHIFTS = {"vessel": (0.25, -0.5, 0.125), "content": (-0.375, 0.25, 0.5),
                "opening": (0.5, 0.125, -0.25)}
@@ -82,9 +85,11 @@ def build(work: Path) -> Path:
     """Write every golden artifact under ``work``; returns the directory holding them."""
     root = work / "golden"
     small, full, pred = root / "generate64", root / "generate256", work / "pred"
-    config = work / "config64.json"
-    config.write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
-    _cli("generate", "--seeds", SMALL_SEEDS, "--config", config, "--out", small)
+    for name, seeds, settings in (("64", SMALL_SEEDS, SMALL_CONFIG),
+                                  ("fine32", FINE_SEEDS, FINE_CONFIG)):
+        config = work / f"config{name}.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        _cli("generate", "--seeds", seeds, "--config", config, "--out", root / f"generate{name}")
     _cli("generate", "--seeds", FULL_SEEDS, "--out", full)
     _predict(small, pred)
     for mode in MODES:
