@@ -166,7 +166,9 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
         span = np.minimum(end[j0:j1 + 1], last) - np.maximum(start[j0:j1 + 1], first)
         j = np.repeat(seg[j0:j1 + 1], span)
         pix = np.arange(first, last) + np.repeat(base[j0:j1 + 1], span)
-        terms = ([x[j] for x in vec] for vec in (e1, e2, s))
+        # A block within one triangle broadcasts its terms instead of gathering them per pair.
+        at = slice(seg[j0], seg[j0] + 1) if seg[j0] == seg[j1] else j
+        terms = ([x[at] for x in vec] for vec in (e1, e2, s))
         hit, t, _, _ = _moller_trumbore([x[pix] for x in d], *terms, q, e2q, rows=j)
         np.minimum.at(best, pix[hit], t)
     return best

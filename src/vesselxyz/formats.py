@@ -12,6 +12,10 @@ scale).  PGM is binary P5, maxval 255; any value >= 128 reads as set.
 Both share one header, ``magic / width height / last field``.  A reader
 checks the magic first, then the declared size against the file, and only
 then reads the payload.
+
+OBJ meshes are written, never read: a ``#`` header line, one ``v`` line per
+vertex with each value as ``%.17g`` (so it reads back to the same float64),
+and one ``f`` line per triangle with 1-based indices.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ def validity_path(path) -> Path:
 
 
 def _write_grid(path, magic: bytes, width: int, height: int, last, data: np.ndarray) -> None:
-    header = magic + f"\n{width} {height}\n{last}\n".encode("ascii")
+    """The header, then the C-contiguous ``data`` as it lies in memory."""
     with open(path, "wb") as f:
-        f.write(header + data.tobytes())
+        f.write(magic + f"\n{width} {height}\n{last}\n".encode("ascii"))
+        f.write(data)
 
 
 def _read_grid(path, magic: bytes, last_type, pixel_bytes: int):
@@ -74,7 +79,7 @@ def _read_token(f, path) -> bytes:
 
 
 def write_pgm(path, mask: SegMask) -> None:
-    data = np.where(mask.values, 255, 0).astype(np.uint8)
+    data = np.where(mask.values, np.uint8(255), np.uint8(0))
     _write_grid(path, b"P5", mask.width, mask.height, 255, data)
 
 
@@ -93,7 +98,7 @@ def write_pfm(path, m) -> None:
         magic, data = b"PF", m.coords
     else:
         raise TypeError(f"write_pfm expects DepthMap or XyzMap, got {type(m).__name__}")
-    _write_grid(path, magic, m.width, m.height, _PFM_SCALE, np.flipud(data.astype("<f4")))
+    _write_grid(path, magic, m.width, m.height, _PFM_SCALE, np.flipud(data).astype("<f4", order="C"))
     write_pgm(validity_path(path), SegMask(m.valid))
 
 
@@ -131,9 +136,33 @@ def read_xyz_pfm(path) -> XyzMap:
 
 
 def write_obj(path, mesh: TriMesh) -> None:
-    """ASCII OBJ for inspection; deterministic float formatting."""
+    """ASCII OBJ for inspection: ``%.17g`` vertex values, 1-based face indices.
+
+    Each distinct vertex value is formatted once; values are told apart by
+    their float64 bits, so -0.0 keeps its sign.  Face lines are the rows of
+    one digit matrix with each index's leading zeros dropped.
+    """
     n, m = len(mesh.vertices), mesh.num_triangles
-    header = f"# {mesh.label}: {n} vertices, {m} triangles\n"
-    vertices = ("v %.17g %.17g %.17g\n" * n) % tuple(mesh.vertices.ravel().tolist())
-    faces = ("f %d %d %d\n" * m) % tuple((mesh.triangles + 1).ravel().tolist())
-    Path(path).write_text(header + vertices + faces, encoding="ascii")
+    bits, inverse = np.unique(mesh.vertices.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(),
+                    dtype=object)
+    with open(path, "wb") as f:
+        f.write(f"# {mesh.label}: {n} vertices, {m} triangles\n".encode("ascii"))
+        f.write((("v %s %s %s\n" * n) % tuple(text[inverse].tolist())).encode("ascii"))
+        if m:
+            f.write(_face_lines(mesh.triangles + 1))
+
+
+def _face_lines(index: np.ndarray) -> bytes:
+    """``f a b c`` lines of the positive ``(M, 3)`` integers ``index``."""
+    top = int(index.max())
+    width = len(str(top))
+    index = index.astype(np.min_scalar_type(top))  # the narrowest type divides fastest
+    lines = np.empty((len(index), 3 * (width + 1) + 2), dtype=np.uint8)
+    keep = np.ones_like(lines, dtype=bool)
+    lines[:, 0], lines[:, 1:-1:width + 1], lines[:, -1] = ord("f"), ord(" "), ord("\n")
+    for d in range(width):  # the digit of 10**(width-1-d) of each index, if not a leading zero
+        p = 10 ** (width - 1 - d)
+        lines[:, 2 + d:-1:width + 1] = index // p % 10 + ord("0")
+        keep[:, 2 + d:-1:width + 1] = index >= p
+    return lines[keep].tobytes()

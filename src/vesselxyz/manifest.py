@@ -30,7 +30,20 @@ from .renderer import render_scene
 
 FORMAT_VERSION = 1
 ROLES = ("vessel", "content", "opening")
-_DEGREES = ProfileConfig.__dataclass_fields__["poly_degrees"].metadata["bounds"]
+
+
+def _bounds(name: str) -> tuple:
+    return ProfileConfig.__dataclass_fields__[name].metadata["bounds"]
+
+
+# A profile value's closed range, by its key: the range of the config field
+# it is drawn from.  A sinusoid's amplitude is drawn as a scale times base_radius.
+_PROFILE_BOUNDS = {
+    "base_radius": _bounds("base_radius"), "height": _bounds("height"),
+    "slope": _bounds("linear_slope"), "coefficient": _bounds("poly_coefficient"),
+    "degree": _bounds("poly_degrees"), "frequency": _bounds("sin_frequency"),
+    "amplitude": tuple(x * _bounds("base_radius")[1] for x in _bounds("sin_amplitude_scale")),
+}
 
 
 def artifact_name(seed: int, role: str, kind: str) -> str:
@@ -58,37 +71,44 @@ def _camera_to_dict(camera: PinholeCamera) -> dict:
     return {**asdict(camera), **arrays}
 
 
-def _record(cls, build=None):
+def _record(cls, build=None, bounds=None):
     """Reader of a nested record: an object holding every field of ``cls``.
 
-    Every value is checked by ``_numbers`` first; then ``build`` (default
-    ``cls(**d)``) makes the record, so an unknown key fails as the
-    constructor's TypeError.
+    Every value is checked by ``_numbers`` against ``bounds`` first; then
+    ``build`` (default ``cls(**d)``) makes the record, so an unknown key
+    fails as the constructor's TypeError.
     """
     def parse(d):
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:  # a field with a default must still be in the file
             raise InvalidValue(f"missing key {missing[0]!r}")
-        _numbers(d, "")
+        _numbers(d, "", bounds or {})
         return build(d) if build else cls(**d)
     return parse
 
 
-def _numbers(value, where: str) -> None:
+def _numbers(value, where: str, bounds: dict) -> None:
     """InvalidValue naming the first value but a term's ``kind`` that is no finite number.
 
-    A number is one by ``like``; a profile term's ``degree`` is also an
-    integer in the range of ``ProfileConfig.poly_degrees``.
+    A number is one by ``like``.  A value whose key is in ``bounds`` lies in
+    that closed range, and a ``degree`` is also an integer.
     """
-    low, high = _DEGREES
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             if key != "kind":  # a profile term's class name
-                _numbers(item, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
-    elif not like(value, 0.0) or (isinstance(value, float) and not math.isfinite(value)):
-        raise InvalidValue(f"{where.lstrip('.')}: expected a finite number, got {value!r}")
-    elif where.endswith(".degree") and not (like(value, 0) and low <= value <= high):
-        raise InvalidValue(f"{where.lstrip('.')}: expected an integer in [{low}, {high}], got {value}")
+                inner = f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]"
+                _numbers(item, inner, bounds)
+        return
+    name = where.lstrip(".")
+    if not like(value, 0.0) or (isinstance(value, float) and not math.isfinite(value)):
+        raise InvalidValue(f"{name}: expected a finite number, got {value!r}")
+    low, high = bounds.get(where.rsplit(".", 1)[-1], (-math.inf, math.inf))
+    integer = where.endswith(".degree")
+    if not low <= value <= high or (integer and not like(value, 0)):
+        raise InvalidValue(
+            f"{name}: expected {'an integer' if integer else 'a number'} in [{low}, {high}], "
+            f"got {value}"
+        )
 
 
 def _same(value):
@@ -130,7 +150,8 @@ _FIELDS = (
     ("seed", _same, _seed),
     ("config", SceneConfig.to_dict, SceneConfig.from_dict),
     ("camera", _camera_to_dict, _record(PinholeCamera)),
-    ("profile", VesselProfile.to_dict, _record(VesselProfile, VesselProfile.from_dict)),
+    ("profile", VesselProfile.to_dict,
+     _record(VesselProfile, VesselProfile.from_dict, _PROFILE_BOUNDS)),
     ("fill_fraction", _same, _fraction),
     ("vessel_material", asdict, _record(MaterialVector)),
     ("content_material", asdict, _record(MaterialVector)),

@@ -79,6 +79,21 @@ def dyadic_offset(rng: np.random.Generator) -> np.ndarray:
 
 # ── naive oracles: geometry ──────────────────────────────────────────────
 
+def oracle_map_accepts(values, valid, positive: bool) -> bool:
+    """The map constructors' former check: a boolean gather of the valid pixels' values.
+
+    They must be finite, and for depth (``positive``) also above zero.
+    """
+    sel = np.asarray(values, dtype=np.float64)[np.asarray(valid, dtype=bool)]
+    return bool(np.all(np.isfinite(sel)) and (not positive or np.all(sel > 0.0)))
+
+
+def oracle_triangle_areas(vertices, triangles) -> np.ndarray:
+    """The mesh's former area formula: corner rows, ``np.cross`` and ``norm(axis=1)``."""
+    a, b, c = (vertices[triangles[:, k]] for k in range(3))
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
 def oracle_pair_list(mask: SegMask, dilations) -> list:
     """Direct scan of the mask for (p, p+d) pairs, in the documented order."""
     h, w = mask.height, mask.width

@@ -189,6 +189,7 @@ def test_manifest_with_any_field_changed(tiny_gt, data):
 
 
 _POLYNOMIAL = {"kind": "PolynomialTerm", "coefficient": 0.1, "degree": 2}
+_SINUSOID = {"kind": "SinusoidTerm", "amplitude": 0.01, "frequency": 1.0, "phase": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -218,8 +219,14 @@ _POLYNOMIAL = {"kind": "PolynomialTerm", "coefficient": 0.1, "degree": 2}
         (("profile", "terms"), [_POLYNOMIAL | {"degree": 2.5}]),
         (("profile", "terms"), [_POLYNOMIAL | {"degree": 5000}]),  # above poly_degrees' 1024
         (("profile", "terms", 0, "slope"), float("nan")),
-        (("profile", "terms"),
-         [{"kind": "SinusoidTerm", "amplitude": float("inf"), "frequency": 1.0, "phase": 0.0}]),
+        (("profile", "terms"), [_SINUSOID | {"amplitude": float("inf")}]),
+        # each above or below the range of the config field it is drawn from
+        (("profile", "terms", 0, "slope"), 1e308),  # linear_slope's 1e6
+        (("profile", "terms"), [_POLYNOMIAL | {"coefficient": -2e6}]),  # poly_coefficient's -1e6
+        (("profile", "terms"), [_SINUSOID | {"frequency": 1e7}]),  # sin_frequency's 1e6
+        (("profile", "terms"), [_SINUSOID | {"amplitude": 2e12}]),  # 1e6 scale x 1e6 radius
+        (("profile", "base_radius"), 1e-7),  # base_radius' 1e-6
+        (("profile", "height"), 2e6),  # height's 1e6
     ],
     ids=["camera-unknown-key", "material-unknown-key", "profile-unknown-key",
          "top-level-unknown-key", "format-version-7", "fill-fraction-string",
@@ -228,7 +235,9 @@ _POLYNOMIAL = {"kind": "PolynomialTerm", "coefficient": 0.1, "degree": 2}
          "bool-camera-fx", "bool-camera-cx", "bool-in-camera-rotation", "bool-profile-height",
          "string-term-slope", "bool-material-ior", "string-material-roughness",
          "strings-in-material-rgb", "negative-term-degree", "fractional-term-degree",
-         "huge-term-degree", "nan-term-slope", "infinite-term-amplitude"],
+         "huge-term-degree", "nan-term-slope", "infinite-term-amplitude",
+         "huge-term-slope", "huge-term-coefficient", "huge-term-frequency",
+         "huge-term-amplitude", "tiny-base-radius", "huge-height"],
 )
 def test_rejected_manifest_field_names_file_and_field(tiny_gt, tmp_path, keys, value):
     for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp_path, keys, value):

@@ -299,6 +299,46 @@ class TestObj:
             assert path.read_text(encoding="ascii") == oracle_obj_text(mesh)
 
 
+# Finite vertex values: any bit pattern, the edges of the format, and plain coordinates.
+_FINITE_BITS = st.integers(-(2**63), 2**63 - 1).map(
+    lambda b: float(np.int64(b).view(np.float64))
+).filter(np.isfinite)
+_VERTEX_VALUES = st.one_of(
+    _FINITE_BITS,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(1e-6, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-6, exclude_min=True),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_obj_text_matches_per_line_formatting(data):
+    """Any finite vertex values, repeated or not, and face indices of 1 to 6 digits."""
+    digits = data.draw(st.integers(1, 6), label="digits")
+    n = 10 ** (digits - 1) + data.draw(st.integers(2, 20), label="extra")
+    pool = data.draw(st.lists(_VERTEX_VALUES, min_size=1, max_size=30), label="pool")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vertices = rng.choice(np.array(pool), (n, 3))
+    # Each triangle's corners hold a unit right triangle, so the mesh may hold it.
+    count = data.draw(st.integers(1, min(20, n // 3)), label="triangles")
+    corners = np.append(rng.permutation(n - 1)[: 3 * count - 1], n - 1)  # the most digits
+    vertices[corners.reshape(-1, 3)] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    mesh = TriMesh(vertices, corners.reshape(-1, 3), "vessel")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        write_obj(path, mesh)
+        assert path.read_bytes() == oracle_obj_text(mesh).encode("ascii")
+
+
+def test_empty_mesh_obj_is_its_header(tmp_path):
+    mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), "opening")
+    write_obj(tmp_path / "empty.obj", mesh)
+    assert (tmp_path / "empty.obj").read_bytes() == b"# opening: 0 vertices, 0 triangles\n"
+    assert oracle_obj_text(mesh) == "# opening: 0 vertices, 0 triangles\n"
+
+
 def _dir_hashes(d) -> dict:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()

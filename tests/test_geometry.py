@@ -27,7 +27,9 @@ from vesselxyz import (
 from conftest import (
     dyadic_offset,
     dyadic_xyz,
+    oracle_map_accepts,
     oracle_pair_list,
+    oracle_triangle_areas,
     random_camera,
     random_depth,
 )
@@ -185,6 +187,46 @@ def test_map_store_matches_copy_then_fill(kind, data):
         broken[r, c] = data.draw(st.sampled_from(bad))
         with pytest.raises(InvalidValue, match="valid pixels must have finite"):
             cls(broken, valid)
+
+
+# Values a valid pixel may hold on input: each side of every rule, subnormals included.
+_EDGE_VALUES = st.sampled_from([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.7976931348623157e308, -1.0, 0.5,
+])
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_map_accepts_what_the_gather_rule_accepts(kind, data):
+    cls, pixel, positive = MAP_KINDS[kind]
+    values, valid = data.draw(_raw_map(pixel, positive))
+    edits = data.draw(arrays(bool, values.shape), label="edits")
+    values[edits] = data.draw(arrays(np.float64, values.shape, elements=_EDGE_VALUES))[edits]
+    if not oracle_map_accepts(values, valid, positive):
+        with pytest.raises(InvalidValue, match="valid pixels must have finite"):
+            cls(values, valid)
+        return
+    m = cls(values, valid)
+    stored = m.values if cls is DepthMap else m.coords
+    want = np.where(valid[..., None] if pixel else valid, values, np.nan)
+    assert stored.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), m=st.integers(1, 80))
+def test_triangle_areas_match_cross_and_norm_bitwise(seed, n, m):
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+    vertices = rng.choice([-1.0, 1.0], (n, 3)) * rng.uniform(1.0, 10.0, (n, 3)) * magnitude
+    triangles = np.array([rng.choice(n, 3, replace=False) for _ in range(m)])
+    want = oracle_triangle_areas(vertices, triangles)
+    kept = (want > 1e-12) & (want < np.inf)  # what a mesh may hold
+    if not kept.any():
+        return
+    mesh = TriMesh(vertices, triangles[kept], "vessel")
+    assert mesh.triangle_areas().tobytes() == want[kept].tobytes()
 
 
 def _masked_points_case(name):
