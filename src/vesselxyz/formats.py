@@ -144,11 +144,11 @@ def write_obj(path, mesh: TriMesh) -> None:
     """
     n, m = len(mesh.vertices), mesh.num_triangles
     bits, inverse = np.unique(mesh.vertices.view(np.int64).ravel(), return_inverse=True)
-    text = np.array(("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split(),
-                    dtype=object)
+    text = ("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).encode("ascii")
+    text = np.array(text.split(), dtype=object)
     with open(path, "wb") as f:
         f.write(f"# {mesh.label}: {n} vertices, {m} triangles\n".encode("ascii"))
-        f.write((("v %s %s %s\n" * n) % tuple(text[inverse].tolist())).encode("ascii"))
+        f.write(b"v %s %s %s\n" * n % tuple(text[inverse].tolist()))
         if m:
             f.write(_face_lines(mesh.triangles + 1))
 
