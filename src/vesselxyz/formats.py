@@ -13,9 +13,8 @@ Both share one header, ``magic / width height / last field``.  A reader
 checks the magic first, then the declared size against the file, and only
 then reads the payload.
 
-OBJ meshes are written, never read: a ``#`` header line, one ``v`` line per
-vertex with each value as ``%.17g`` (so it reads back to the same float64),
-and one ``f`` line per triangle with 1-based indices.
+OBJ meshes are written, never read: a ``#`` header line, a ``v`` line per
+vertex with ``%.17g`` values, and an ``f`` line of 1-based indices per triangle.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def write_pfm(path, m) -> None:
         magic, data = b"PF", m.coords
     else:
         raise TypeError(f"write_pfm expects DepthMap or XyzMap, got {type(m).__name__}")
-    _write_grid(path, magic, m.width, m.height, _PFM_SCALE, np.flipud(data).astype("<f4", order="C"))
+    _write_grid(path, magic, m.width, m.height, _PFM_SCALE, np.flipud(data).astype("<f4"))
     write_pgm(validity_path(path), SegMask(m.valid))
 
 
@@ -136,11 +135,9 @@ def read_xyz_pfm(path) -> XyzMap:
 
 
 def write_obj(path, mesh: TriMesh) -> None:
-    """ASCII OBJ for inspection: ``%.17g`` vertex values, 1-based face indices.
+    """ASCII OBJ for inspection.  Each distinct vertex value is formatted once.
 
-    Each distinct vertex value is formatted once; values are told apart by
-    their float64 bits, so -0.0 keeps its sign.  Face lines are the rows of
-    one digit matrix with each index's leading zeros dropped.
+    Values are told apart by their float64 bits, so -0.0 keeps its sign.
     """
     n, m = len(mesh.vertices), mesh.num_triangles
     bits, inverse = np.unique(mesh.vertices.view(np.int64).ravel(), return_inverse=True)
@@ -149,18 +146,17 @@ def write_obj(path, mesh: TriMesh) -> None:
     with open(path, "wb") as f:
         f.write(f"# {mesh.label}: {n} vertices, {m} triangles\n".encode("ascii"))
         f.write(b"v %s %s %s\n" * n % tuple(text[inverse].tolist()))
-        if m:
-            f.write(_face_lines(mesh.triangles + 1))
+        f.write(_face_lines(mesh.triangles + 1))
 
 
 def _face_lines(index: np.ndarray) -> bytes:
-    """``f a b c`` lines of the positive ``(M, 3)`` integers ``index``."""
-    top = int(index.max())
+    """``f a b c`` lines of the positive ``(M, 3)`` integers ``index``: rows of one digit matrix."""
+    top = int(index.max(initial=0))
     width = len(str(top))
     index = index.astype(np.min_scalar_type(top))  # the narrowest type divides fastest
-    lines = np.empty((len(index), 3 * (width + 1) + 2), dtype=np.uint8)
+    lines = np.full((len(index), 3 * (width + 1) + 2), ord(" "), dtype=np.uint8)
+    lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
     keep = np.ones_like(lines, dtype=bool)
-    lines[:, 0], lines[:, 1:-1:width + 1], lines[:, -1] = ord("f"), ord(" "), ord("\n")
     for d in range(width):  # the digit of 10**(width-1-d) of each index, if not a leading zero
         p = 10 ** (width - 1 - d)
         lines[:, 2 + d:-1:width + 1] = index // p % 10 + ord("0")

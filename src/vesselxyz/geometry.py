@@ -74,8 +74,7 @@ def _init_map(m, field: str, pixel: tuple, positive: bool) -> None:
     ``field`` must be ``(H, W) + pixel`` over an ``(H, W)`` validity mask,
     and finite (and positive, for depth) on valid pixels.  It is stored as
     ``np.where(valid, values, nan)``: one pass that also makes the copy.
-    The NaN fill fails both tests, so the stored values pass them exactly
-    as often as the valid pixels hold values.
+    NaN fails each test, so a count of the stored values that pass checks the valid ones.
     """
     values = np.asarray(getattr(m, field), dtype=np.float64)
     valid = np.asarray(m.valid, dtype=bool)
@@ -257,10 +256,7 @@ class TriMesh:
         return np.mean(self.vertices, axis=0)
 
     def triangle_areas(self) -> np.ndarray:
-        """(M,) area of each triangle: ``0.5 * norm(cross(b - a, c - a), axis=1)``, bit for bit.
-
-        It runs per axis, on rows of per-corner values.
-        """
+        """(M,) triangle areas, bit for bit ``0.5 * norm(cross(b - a, c - a), axis=1)``."""
         a, b, c = (np.take(self.vertices.T, i, axis=1) for i in self.triangles.T)
         (x1, y1, z1), (x2, y2, z2) = b - a, c - a
         n = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)

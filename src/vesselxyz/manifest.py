@@ -32,17 +32,18 @@ FORMAT_VERSION = 1
 ROLES = ("vessel", "content", "opening")
 
 
-def _bounds(name: str) -> tuple:
-    return ProfileConfig.__dataclass_fields__[name].metadata["bounds"]
+def _drawn(name: str, scale=1) -> tuple:
+    """The closed range of the ``ProfileConfig`` field ``name``, times ``scale``."""
+    return tuple(scale * x for x in ProfileConfig.__dataclass_fields__[name].metadata["bounds"])
 
 
-# A profile value's closed range, by its key: the range of the config field
-# it is drawn from.  A sinusoid's amplitude is drawn as a scale times base_radius.
+# A profile value's closed range, by its key: that of the config field it is
+# drawn from.  A sinusoid's amplitude is drawn as a scale times base_radius.
 _PROFILE_BOUNDS = {
-    "base_radius": _bounds("base_radius"), "height": _bounds("height"),
-    "slope": _bounds("linear_slope"), "coefficient": _bounds("poly_coefficient"),
-    "degree": _bounds("poly_degrees"), "frequency": _bounds("sin_frequency"),
-    "amplitude": tuple(x * _bounds("base_radius")[1] for x in _bounds("sin_amplitude_scale")),
+    "base_radius": _drawn("base_radius"), "height": _drawn("height"),
+    "slope": _drawn("linear_slope"), "coefficient": _drawn("poly_coefficient"),
+    "degree": _drawn("poly_degrees"), "frequency": _drawn("sin_frequency"),
+    "amplitude": _drawn("sin_amplitude_scale", _drawn("base_radius")[1]),
 }
 
 
@@ -93,22 +94,18 @@ def _numbers(value, where: str, bounds: dict) -> None:
     A number is one by ``like``.  A value whose key is in ``bounds`` lies in
     that closed range, and a ``degree`` is also an integer.
     """
+    low, high = bounds.get(where.rsplit(".", 1)[-1], (-math.inf, math.inf))
+    integer = where.endswith(".degree")
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             if key != "kind":  # a profile term's class name
                 inner = f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]"
                 _numbers(item, inner, bounds)
-        return
-    name = where.lstrip(".")
-    if not like(value, 0.0) or (isinstance(value, float) and not math.isfinite(value)):
-        raise InvalidValue(f"{name}: expected a finite number, got {value!r}")
-    low, high = bounds.get(where.rsplit(".", 1)[-1], (-math.inf, math.inf))
-    integer = where.endswith(".degree")
-    if not low <= value <= high or (integer and not like(value, 0)):
-        raise InvalidValue(
-            f"{name}: expected {'an integer' if integer else 'a number'} in [{low}, {high}], "
-            f"got {value}"
-        )
+    elif not like(value, 0.0) or (isinstance(value, float) and not math.isfinite(value)):
+        raise InvalidValue(f"{where.lstrip('.')}: expected a finite number, got {value!r}")
+    elif not low <= value <= high or (integer and not like(value, 0)):
+        kind = "an integer" if integer else "a number"
+        raise InvalidValue(f"{where.lstrip('.')}: expected {kind} in [{low}, {high}], got {value}")
 
 
 def _same(value):
