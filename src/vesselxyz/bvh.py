@@ -1,4 +1,4 @@
-"""Ray/triangle intersection: a binned camera-ray cast, and its brute-force reference.
+"""Ray/triangle intersection: a camera-ray cast over per-row spans, and its brute-force reference.
 
 ``cast_camera_rays`` is the renderer's cast.  Every camera ray runs from
 the camera center through a pixel center, and every triangle is cast over

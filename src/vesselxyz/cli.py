@@ -170,8 +170,9 @@ def _cmd_render(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out)
     _probe_writable(out)
+    meshes = "vessel_mesh" in manifest.files  # replay what the manifest lists
     try:
-        emit_scene(manifest.seed, manifest.config, out)
+        emit_scene(manifest.seed, manifest.config, out, write_meshes=meshes)
     except (VesselXyzError, OSError) as e:  # the seed and config give no scene, or no file name
         raise GenerationFailed(f"{args.manifest}: {e}") from e
     print(f"re-rendered seed {manifest.seed} into {out}")

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyMask, InvalidEndpoint, InvalidValue
 
 DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64)
-MIN_TRIANGLE_AREA = 1e-12
 MESH_LABELS = ("vessel", "content", "opening", "ground")
 IOR_PHYSICAL_RANGE = (1.0, 2.0)
+MIN_FOCAL_PX = 1e-6  # below it, camera rays and back-projected points overflow
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -158,8 +158,8 @@ class PinholeCamera:
         size = (self.width, self.height)
         if not all(type(n) is int and n >= 1 for n in size):
             raise InvalidValue(f"width and height must be integers >= 1, got {size}")
-        if not (self.fx > 0 and self.fy > 0):
-            raise InvalidValue("focal lengths must be positive")
+        if not (self.fx >= MIN_FOCAL_PX and self.fy >= MIN_FOCAL_PX):  # NaN too
+            raise InvalidValue(f"fx and fy must be >= {MIN_FOCAL_PX}, got {self.fx}, {self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidValue("principal point must lie inside the image")
         r = np.asarray(self.rotation, dtype=np.float64)
@@ -221,7 +221,7 @@ class TriMesh:
 
     Triangles are wound counterclockwise seen from outside, so cross products
     of edge vectors give outward normals and the divergence-theorem volume of
-    a closed mesh comes out positive.
+    a closed mesh comes out positive.  Every triangle's area is positive and finite.
     """
 
     vertices: np.ndarray  # (N, 3) float64
@@ -241,8 +241,8 @@ class TriMesh:
         object.__setattr__(self, "triangles", frozen(t))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN here
             areas = self.triangle_areas()
-        if not np.all((areas > MIN_TRIANGLE_AREA) & (areas < np.inf)):
-            raise InvalidValue("mesh contains degenerate triangles or areas that overflow")
+        if not np.all((areas > 0.0) & (areas < np.inf)):
+            raise InvalidValue("mesh triangle areas must be positive and finite")
 
     @property
     def num_triangles(self) -> int:

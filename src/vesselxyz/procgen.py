@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .errors import GenerationFailed, InvalidValue, MalformedDocument
-from .geometry import IOR_PHYSICAL_RANGE, MaterialVector, PinholeCamera, TriMesh, frozen
+from .geometry import IOR_PHYSICAL_RANGE, MIN_FOCAL_PX, MaterialVector, PinholeCamera, TriMesh, frozen
 
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
@@ -28,7 +28,7 @@ _CAMERA_SALT = 13
 # Caps on the image size and knot count, far above any useful scene.
 MAX_RESOLUTION = 8192
 _MAX_SAMPLES = 2**20
-# Outside [1e-6, 1e6] meters, rays overflow or a scene degenerates.
+# Meters: within [1e-6, 1e6] a scene's areas and depths neither underflow nor overflow.
 _LENGTH = (1e-6, 1e6)
 _SIGNED = (-1e6, 1e6)
 
@@ -351,7 +351,7 @@ class SceneConfig:
     camera_distance: tuple = _ranged((0.35, 0.8), _LENGTH)  # meters from the vessel centroid
     camera_elevation_deg: tuple = _ranged((10.0, 60.0), _SIGNED)
     camera_azimuth_deg: tuple = _ranged((0.0, 360.0), _SIGNED)
-    focal_px: float = _ranged(320.0, (1e-6, sys.float_info.max))
+    focal_px: float = _ranged(320.0, (MIN_FOCAL_PX, sys.float_info.max))
     resolution: int = _ranged(256, (1, MAX_RESOLUTION))
     ground_half_extent: float = _ranged(2.0, _LENGTH)
 

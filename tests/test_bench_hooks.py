@@ -1,11 +1,15 @@
-"""The benchmark tracer's hook surface: every function it wraps still exists where it looks.
+"""The benchmark's view of the package: everything it calls or wraps still exists.
 
 ``perfbench/spans.py`` replaces functions in the namespace their callers
 look them up in.  A renamed or deleted hook target makes ``install_all``
 raise, and a caller that captured a function object before the hook runs
 silently escapes it; both fail here instead of in a traced benchmark run.
+``perfbench/workloads.py`` calls the package directly, by ``from`` imports
+and by attributes of the modules it imports; a deleted or renamed name
+fails here instead of in a benchmark run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -14,15 +18,39 @@ import pytest
 from vesselxyz import evaluation, formats
 from vesselxyz.cli import main
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+def test_workloads_reach_only_names_the_package_has():
+    workloads = _load("workloads")  # its from-imports fail here if a name is gone
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "vesselxyz"
+        for alias in node.names
+    }
+    assert {"cli", "geometry", "losses"} <= modules
+    read = {
+        (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {module for module, _ in read} == modules
+    missing = sorted(f"{m}.{a}" for m, a in read if not hasattr(getattr(workloads, m), a))
+    assert not missing, missing
 
 
 @pytest.fixture(scope="module")

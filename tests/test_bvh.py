@@ -1,4 +1,4 @@
-"""Ray/triangle kernel, brute force and binned camera cast, against naive oracles.
+"""Ray/triangle kernel, brute force and per-row span camera cast, against naive oracles.
 
 The kernel is checked bit for bit against the ``np.cross`` / ``einsum``
 formulation in ``conftest``, and ``intersect_rays_brute`` against a per-ray
@@ -9,6 +9,8 @@ cameras and meshes built to hit the edge cases of its per-row span rule, on
 real scenes' ground and opening at full size and at a grazing view of the
 ground, and at focal lengths whose span ends overflow.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +173,7 @@ def test_brute_force_equals_oracle_on_random_meshes(seed, n_tris):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
-# ── binned camera cast ───────────────────────────────────────────────────
+# ── per-row span camera cast ─────────────────────────────────────────────
 
 CAST_KINDS = (
     "pixel", "random", "tiny", "behind", "straddle", "grazing", "along_ray", "strip",
@@ -297,7 +299,7 @@ def _cast_mesh(rng, cam: PinholeCamera, kinds, n_tris: int):
     world = (verts - cam.translation) @ cam.rotation
     e = world[faces]
     area = 0.5 * np.linalg.norm(np.cross(e[:, 1] - e[:, 0], e[:, 2] - e[:, 0]), axis=1)
-    faces = faces[area > 1e-9]
+    faces = faces[area > 0]  # what a mesh may hold
     return TriMesh(world, faces, "content") if len(faces) else None
 
 
@@ -376,3 +378,23 @@ def test_cast_at_overflowing_focal_lengths(focal):
     scene = assemble_scene(1, SceneConfig(focal_px=focal, resolution=32))
     for mesh in (scene.vessel, scene.ground_plane.to_mesh(), scene.opening):
         _assert_cast_equals_brute(mesh, scene.camera)
+
+
+MICROMETER = SceneConfig.from_dict({
+    "profile": {"base_radius": [2e-6, 2e-6], "min_radius": 1.5e-6, "height": [5e-6, 5e-6]},
+    "wall_clearance": 1e-6, "camera_distance": [2e-5, 3e-5], "angular_segments": 32,
+    "vertical_segments": 16, "resolution": 16,
+})
+
+
+@pytest.mark.parametrize("focal", [320.0, 40.0], ids=["filled-view", "edges-in-view"])
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_cast_equals_brute_force_on_micrometer_scenes(seed, focal):
+    # Every triangle of a vessel 4 micrometers wide is under 1e-12 m^2, and
+    # the cast stays exact at that scale: at focal 320 the vessel fills the
+    # view, at 40 its edges are in view.  Seeds 3 and 6 have content.
+    scene = assemble_scene(seed, replace(MICROMETER, focal_px=focal))
+    assert scene.vessel.triangle_areas().max() < 1e-12
+    meshes = (scene.vessel, scene.content, scene.opening, scene.ground_plane.to_mesh())
+    hits = [_assert_cast_equals_brute(m, scene.camera)[1] for m in meshes if not m.is_empty]
+    assert (hits[0] >= 0).any()

@@ -271,20 +271,46 @@ class TestGenerate:
         assert "--resolution" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_degenerate_meshes_fail_per_seed(self, tmp_path, capsys):
-        # a vessel a few micrometers wide has degenerate triangles: each seed
-        # fails on its own and the batch exits 3
+    def test_exhausted_profile_retries_fail_per_seed(self, tmp_path, capsys):
+        # one falling term takes a base radius just above min_radius below it,
+        # so every retry fails: each seed fails on its own and the batch exits 3
         cfg = tmp_path / "cfg.json"
-        profile = {"base_radius": [2e-6, 2e-6], "min_radius": 1.5e-6, "term_count": [0, 0]}
-        cfg.write_text(json.dumps({"profile": profile, "wall_clearance": 1e-6}))
+        profile = {"base_radius": [0.0051, 0.0051], "min_radius": 0.005, "term_count": [1, 1],
+                   "linear_slope": [-0.5, -0.5], "poly_coefficient": [-0.3, -0.3],
+                   "sin_amplitude_scale": [-5.0, -5.0], "max_retries": 3}
+        cfg.write_text(json.dumps({"profile": profile}))
         code = main(
             ["generate", "--seeds", "1..3", "--config", str(cfg), "--resolution", "16",
              "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_PARTIAL
         failed = [line for line in capsys.readouterr().err.splitlines() if "FAILED seed" in line]
-        assert len(failed) == 3
-        assert all("degenerate" in line for line in failed)
+        assert failed == [
+            f"FAILED seed {seed}: no positive-radius profile within 3 retries (seed {seed})"
+            for seed in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # wall quads ~1.2e-10 m tall
+            {"vertical_segments": 8192, "profile": {"height": [1e-6, 1e-6]}},
+            # a vessel a few micrometers wide, its content half a micrometer
+            {"profile": {"base_radius": [2e-6, 2e-6], "min_radius": 1.5e-6},
+             "wall_clearance": 1e-6},
+        ],
+        ids=["micrometer-height", "micrometer-radius"],
+    )
+    def test_micrometer_scenes_generate_every_seed(self, tmp_path, capsys, config):
+        # no area floor: every triangle of a scene this small is kept
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code = main(["generate", "--seeds", "1..3", "--config", str(cfg), "--resolution", "16",
+                     "--no-meshes", "--out", str(out)])
+        assert code == EXIT_OK
+        std = capsys.readouterr()
+        assert std.out == f"generated 3/3 scenes in {out}\n" and std.err == ""
 
     def test_console_script_entrypoint(self):
         # runs the [project.scripts] entry point the way pip's generated
@@ -338,14 +364,17 @@ class TestGenerate:
         (["loss", "--kind", "scale_invariant", "--dilations", "0,1"], "--dilations"),
         (["clean-depth", "--fx", "-1", "--fy", "100", "--cx", "1", "--cy", "1"], "--fx"),
         (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1e9", "--cy", "1"], "--cx"),
+        # below the focal floor, where rays or back-projected points overflow
+        (["clean-depth", "--fx", "1e-320", "--fy", "1", "--cx", "1", "--cy", "1"], "--fx"),
+        (["clean-depth", "--fx", "1e-300", "--fy", "1", "--cx", "1", "--cy", "1"], "--fx"),
         (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1", "--cy", "1",
           "--max-offset=-1"], "--max-offset"),
         (["clean-depth", "--fx", "100", "--fy", "100", "--cx", "1", "--cy", "1",
           "--max-offset", "nan"], "--max-offset"),
     ],
     ids=["empty-seed-range", "negative-seed", "non-numeric-seed", "eval-decreasing-dilations",
-         "loss-zero-dilation", "negative-fx", "cx-outside-image", "negative-max-offset",
-         "nan-max-offset"],
+         "loss-zero-dilation", "negative-fx", "cx-outside-image", "subnormal-fx", "tiny-fx",
+         "negative-max-offset", "nan-max-offset"],
 )
 def test_bad_flag_is_usage_error(gt_batch, tmp_path, capsys, argv, flag):
     files = {
@@ -396,13 +425,19 @@ def test_repeated_main_calls_share_no_flag_values(monkeypatch, capsys):
 
 class TestRender:
     def test_replay_matches(self, gt_batch, tmp_path):
-        code = main(
-            ["render", "--manifest", str(gt_batch / manifest_name(2)), "--out", str(tmp_path)]
-        )
-        assert code == EXIT_OK
-        a = (gt_batch / "2_vessel_depth.pfm").read_bytes()
-        b = (tmp_path / "2_vessel_depth.pfm").read_bytes()
-        assert a == b
+        # render writes the files its manifest lists, meshes or none, byte for byte
+        bare = tmp_path / "bare"
+        assert main(["generate", "--seeds", "2", "--config", str(gt_batch / "config.json"),
+                     "--no-meshes", "--out", str(bare)]) == EXIT_OK
+        for gt in (gt_batch, bare):
+            out = tmp_path / f"replay-{gt.name}"
+            assert main(["render", "--manifest", str(gt / manifest_name(2)),
+                         "--out", str(out)]) == EXIT_OK
+            files = sorted(p.name for p in gt.glob("2_*"))
+            assert sorted(p.name for p in out.iterdir()) == files
+            assert any(name.endswith(".obj") for name in files) == (gt is gt_batch)
+            for name in files:
+                assert (out / name).read_bytes() == (gt / name).read_bytes(), name
 
     def test_bad_config_in_manifest_is_data_error(self, gt_batch, tmp_path, capsys):
         path = tmp_path / manifest_name(2)

@@ -2,7 +2,7 @@
 
 A bad file is a data error (exit 2), never a usage error (exit 1) and never
 a traceback; a readable file passes (exit 0).  ``generate`` may also exit 3,
-when a config in range still fails to give a scene for a seed.
+but only where a config in range runs out of profile retries for a seed.
 """
 
 import contextlib
@@ -114,9 +114,14 @@ def test_generate_with_any_config_bytes(blob):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_bytes(blob)
-        code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "8",
-                     "--no-meshes", "--out", str(Path(tmp) / "o")])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["generate", "--seeds", "1", "--config", str(cfg), "--resolution", "8",
+                         "--no-meshes", "--out", str(Path(tmp) / "o")])
     assert code in (EXIT_OK, EXIT_DATA, EXIT_PARTIAL)
+    failed = [line for line in err.getvalue().splitlines() if line.startswith("FAILED seed")]
+    assert (code == EXIT_PARTIAL) == bool(failed)
+    assert all("no positive-radius profile within" in line for line in failed), failed
 
 
 def _key_paths(node, prefix=()):
@@ -227,6 +232,7 @@ _SINUSOID = {"kind": "SinusoidTerm", "amplitude": 0.01, "frequency": 1.0, "phase
         (("profile", "terms"), [_SINUSOID | {"amplitude": 2e12}]),  # 1e6 scale x 1e6 radius
         (("profile", "base_radius"), 1e-7),  # base_radius' 1e-6
         (("profile", "height"), 2e6),  # height's 1e6
+        (("camera", "fx"), 1e-300),  # below the focal floor 1e-6
     ],
     ids=["camera-unknown-key", "material-unknown-key", "profile-unknown-key",
          "top-level-unknown-key", "format-version-7", "fill-fraction-string",
@@ -237,7 +243,7 @@ _SINUSOID = {"kind": "SinusoidTerm", "amplitude": 0.01, "frequency": 1.0, "phase
          "strings-in-material-rgb", "negative-term-degree", "fractional-term-degree",
          "huge-term-degree", "nan-term-slope", "infinite-term-amplitude",
          "huge-term-slope", "huge-term-coefficient", "huge-term-frequency",
-         "huge-term-amplitude", "tiny-base-radius", "huge-height"],
+         "huge-term-amplitude", "tiny-base-radius", "huge-height", "tiny-camera-fx"],
 )
 def test_rejected_manifest_field_names_file_and_field(tiny_gt, tmp_path, keys, value):
     for command, code, err, path in _manifest_cli_runs(tiny_gt, tmp_path, keys, value):

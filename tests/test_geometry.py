@@ -133,6 +133,26 @@ class TestMapTypes:
         with pytest.raises(InvalidValue):
             TriMesh(vertices, [[0, 1, 2]], "ground")
 
+    @pytest.mark.parametrize(
+        "scale, triangle, accepted",
+        [
+            (1e-6, [0, 1, 2], True),
+            (1e-60, [0, 1, 2], True),
+            (1e-90, [0, 1, 2], False),  # the cross product squared, 1e-360, underflows to 0
+            (1.0, [0, 1, 3], False),
+            (1.0, [0, 1, 1], False),
+        ],
+        ids=["micrometer", "1e-60", "underflowing", "collinear", "repeated-corner"],
+    )
+    def test_mesh_keeps_exactly_the_positive_areas(self, scale, triangle, accepted):
+        corners = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
+        vertices = scale * np.array(corners)
+        if accepted:
+            assert TriMesh(vertices, [triangle], "vessel").triangle_areas()[0] > 0.0
+        else:
+            with pytest.raises(InvalidValue, match="positive and finite"):
+                TriMesh(vertices, [triangle], "vessel")
+
 
 # What an invalid pixel may hold on input, and one map's worth of raw arrays.
 _INVALID_FILL = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -3.5, 1e308])
@@ -222,7 +242,7 @@ def test_triangle_areas_match_cross_and_norm_bitwise(seed, n, m):
     vertices = rng.choice([-1.0, 1.0], (n, 3)) * rng.uniform(1.0, 10.0, (n, 3)) * magnitude
     triangles = np.array([rng.choice(n, 3, replace=False) for _ in range(m)])
     want = oracle_triangle_areas(vertices, triangles)
-    kept = (want > 1e-12) & (want < np.inf)  # what a mesh may hold
+    kept = (want > 0) & (want < np.inf)  # what a mesh may hold
     if not kept.any():
         return
     mesh = TriMesh(vertices, triangles[kept], "vessel")
