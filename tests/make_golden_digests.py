@@ -1,12 +1,13 @@
 """Build the golden artifacts and write their sha256 digests to ``golden_digests.json``.
 
 The artifacts are what the byte-identity contract covers: ``generate`` with
-meshes of a few seeds at 64x64, of two 256x256 scenes whose ground reaches
-behind the camera and of one 32x32 scene whose vessel has over 10k vertices
-(so OBJ face indices reach 5 digits), the ``eval`` reports in every mode on
-a fixed similarity of the 64x64 ground truth, and the ``loss`` printout of
-both kinds.  ``tests/test_golden_digests.py`` rebuilds them and compares.  A
-change that moves artifact bytes on purpose regenerates the file::
+meshes of a few seeds at 64x64, of twelve 256x256 scenes (two of them with
+ground that reaches behind the camera) and of one 32x32 scene whose vessel
+has over 10k vertices (so OBJ face indices reach 5 digits), the ``eval``
+reports in every mode on a fixed similarity of the 64x64 ground truth, and
+the ``loss`` printout of both kinds.  ``tests/test_golden_digests.py``
+rebuilds them and compares.  A change that moves artifact bytes on purpose
+regenerates the file::
 
     PYTHONPATH=src python tests/make_golden_digests.py
 """
@@ -32,7 +33,9 @@ from vesselxyz.manifest import ROLES
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 SMALL_SEEDS = "1..3"  # at 64x64, with the default field of view
 SMALL_CONFIG = {"resolution": 64, "focal_px": 80.0}
-FULL_SEEDS = "80,124"  # at the default 256x256; their ground reaches behind the camera
+# At the default 256x256: the scenes the benchmark's generate workload times.
+# Seeds 80 and 124 have ground that reaches behind the camera.
+FULL_SEEDS = "80,27,111,108,84,26,87,133,33,102,48,124"
 FINE_SEEDS = "5"  # 256 x 49 ring vertices on the vessel: 5-digit OBJ face indices
 FINE_CONFIG = {"resolution": 32, "focal_px": 40.0, "angular_segments": 256}
 PRED_SCALE = 1.5
