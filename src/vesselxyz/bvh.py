@@ -25,14 +25,14 @@ of its hits, so ``t`` keeps its bits.
 arbitrary rays and is the reference the cast is checked against; rendering
 does not use it.
 
-The one Moller-Trumbore kernel writes cross products per component and
-sums each dot product as ``((x0*y0 + x2*y2) + x1*y1) + 0.0``, as
-``einsum("ij,ij->i")`` does, so its bits are the ``np.cross``/``einsum``
-form's.  ``s = o - v0``, ``q = s x e1`` and ``e2 . q`` hold no ray
-direction: the cast computes them once per triangle for its one origin,
-the brute force per pair.  ``e2 . q = (e1 x e2) . s`` also gives the
-cast its plane test and σ.  Only pairs with ``det != 0`` and ``0 <= u <=
-1`` go on to ``v`` and ``t``.
+Cross products, lengths and camera-frame corners come from ``geometry``'s
+``cross``, ``sq_norm`` and ``rotate``.  The Moller-Trumbore kernel's dot
+products are the one other order, ``((x0*y0 + x2*y2) + x1*y1) + 0.0`` as
+``einsum("ij,ij->i")`` sums them, so its bits are the ``np.cross``/``einsum``
+form's.  ``s = o - v0``, ``q = s x e1`` and ``e2 . q`` hold no ray direction:
+the cast computes them once per triangle for its one origin, the brute force
+per pair.  ``e2 . q = (e1 x e2) . s`` also gives the cast its plane test and
+σ.  Only pairs with ``det != 0`` and ``0 <= u <= 1`` go on to ``v`` and ``t``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidValue
-from .geometry import PinholeCamera, TriMesh
+from .geometry import PinholeCamera, TriMesh, cross, rotate, sq_norm
 
 T_MIN = 1e-9  # hits closer than this are treated as the ray origin itself
 CAST_Z_EPS = 1e-9  # camera-frame z every corner must exceed for rows to be the v-range
@@ -50,25 +50,16 @@ CAST_BLOCK = 8192  # (pixel, triangle) pairs per kernel call of the camera cast
 BRUTE_PAIRS = 65536  # (ray, triangle) pairs per chunk of the brute-force scan
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _dot(a, b):
     """3-term dot product summed as einsum("ij,ij->i") sums it; a -0.0 sum reads +0.0."""
     return ((a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]) + 0.0
-
-
-def _norm(a):
-    """Length of an (x, y, z) triple, summed as ``norm(axis=-1)`` sums it."""
-    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
 
 
 def _origin_terms(o, v0, e1, e2):
     """``(s, q, e2 . q)`` with ``s = o - v0`` and ``q = s x e1``: no ray direction in them."""
     with np.errstate(invalid="ignore"):
         s = tuple(a - b for a, b in zip(o, v0))
-        q = _cross(s, e1)
+        q = cross(s, e1)
         return s, q, _dot(e2, q)
 
 
@@ -82,7 +73,7 @@ def _moller_trumbore(d, e1, e2, s, q, e2q, rows=None):
     and the caller's (t, id) tie-break picks one.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = _cross(d, e2)
+        p = cross(d, e2)
         det = _dot(e1, p)
         inv_det = 1.0 / det
         u = _dot(s, p) * inv_det
@@ -102,7 +93,7 @@ def _row_spans(mesh: TriMesh, camera: PinholeCamera, plane, e2q):
     w, h = camera.width, camera.height
     # Per-axis rows of per-corner arrays: each vertex is moved into the camera frame once.
     corners = mesh.triangles.T.copy()
-    cam = camera.world_to_camera(mesh.vertices).T.copy()
+    cam = np.array(rotate(camera.rotation, mesh.vertices.T)) + camera.translation[:, None]
     # Rows: the projected v-range when every corner is in front, every row otherwise.
     m = CAST_MARGIN_PX
     ranged = (np.take(cam[2], corners).min(axis=0) > CAST_Z_EPS) & ~plane
@@ -120,7 +111,7 @@ def _row_spans(mesh: TriMesh, camera: PinholeCamera, plane, e2q):
     pa, pb, pc = (np.take(cam, i, axis=1) for i in corners)
     lo, hi, empty = -np.inf, np.inf, False
     for p, r in ((pa, pb), (pb, pc), (pc, pa)):
-        k = (x * sigma / f for x, f in zip(_cross(p, r), (camera.fx, camera.fy, 1.0)))
+        k = (x * sigma / f for x, f in zip(cross(p, r), (camera.fx, camera.fy, 1.0)))
         kx, ky, kz = (np.take(x, seg) for x in k)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = ky * (row - camera.cy) + np.abs(ky) * m + kz
@@ -148,8 +139,9 @@ def cast_camera_rays(mesh: TriMesh, camera: PinholeCamera, dirs: np.ndarray):
     e1, e2 = b - a, c - a
     s, q, e2q = _origin_terms(camera.center, a, e1, e2)
     # The plane rule: |e2 . q| = |(e1 x e2) . s|, and the corners lie |s|, |s - e1|, |s - e2| away.
-    far = np.maximum(np.maximum(_norm(s), _norm(np.subtract(s, e1))), _norm(np.subtract(s, e2)))
-    plane = np.abs(e2q) <= CAST_PLANE_TOL * (_norm(e1) * _norm(e2) * far)
+    far = np.sqrt(np.maximum(np.maximum(sq_norm(s), sq_norm(np.subtract(s, e1))),
+                             sq_norm(np.subtract(s, e2))))
+    plane = np.abs(e2q) <= CAST_PLANE_TOL * (np.sqrt(sq_norm(e1)) * np.sqrt(sq_norm(e2)) * far)
     # The span set-up's temporaries are freed before the pairs' are made.
     seg, base, count = _row_spans(mesh, camera, plane, e2q)
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)

@@ -12,6 +12,8 @@ Conventions used throughout the package:
 * Invalid pixels store a quiet-NaN sentinel that no operation reads.  The
   map constructors write it; callers pass any values there.
 * An object's points are the pixels :func:`masked_points` selects.
+* 3-vector sums run through :func:`cross`, :func:`sq_norm` and :func:`rotate`
+  in fixed ``(x, y, z)`` order, never through BLAS (its kernel varies by CPU).
 
 All types are immutable after construction and all operations are pure
 functions.  Their arrays are read-only.  A map owns a fresh value array
@@ -34,6 +36,21 @@ DEFAULT_DILATIONS = (1, 2, 4, 8, 16, 32, 64)
 MESH_LABELS = ("vessel", "content", "opening", "ground")
 IOR_PHYSICAL_RANGE = (1.0, 2.0)
 MIN_FOCAL_PX = 1e-6  # below it, camera rays and back-projected points overflow
+
+
+def cross(a, b):
+    """Cross product of two ``(x, y, z)`` triples (tuples, or arrays whose leading axis is 3)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def sq_norm(a):
+    """Squared length of an ``(x, y, z)`` triple, summed as ``(x*x + y*y) + z*z``."""
+    return (a[0] * a[0] + a[1] * a[1]) + a[2] * a[2]
+
+
+def rotate(r, p):
+    """``r @ p`` for a 3x3 ``r`` and an ``(x, y, z)`` triple ``p``, each row summed in that order."""
+    return tuple((ri[0] * p[0] + ri[1] * p[1]) + ri[2] * p[2] for ri in r)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -168,7 +185,8 @@ class PinholeCamera:
             raise DimensionMismatch("rotation must be 3x3")
         if not np.all(np.isfinite([self.fx, self.fy, *r.ravel(), *t])):
             raise InvalidValue("camera focal lengths, rotation and translation must be finite")
-        if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
+        orthonormal = np.max(np.abs(np.subtract(rotate(r, r.T), np.eye(3)))) <= 1e-9
+        if not orthonormal or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise InvalidValue("rotation must be orthonormal with determinant +1")
         object.__setattr__(self, "rotation", frozen(r))
         object.__setattr__(self, "translation", frozen(t))
@@ -176,11 +194,7 @@ class PinholeCamera:
     @property
     def center(self) -> np.ndarray:
         """Camera center in world coordinates."""
-        return -self.rotation.T @ self.translation
-
-    def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        return -np.array(rotate(self.rotation.T, self.translation))
 
 
 @dataclass(frozen=True)
@@ -258,9 +272,7 @@ class TriMesh:
     def triangle_areas(self) -> np.ndarray:
         """(M,) triangle areas, bit for bit ``0.5 * norm(cross(b - a, c - a), axis=1)``."""
         a, b, c = (np.take(self.vertices.T, i, axis=1) for i in self.triangles.T)
-        (x1, y1, z1), (x2, y2, z2) = b - a, c - a
-        n = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-        return 0.5 * np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+        return 0.5 * np.sqrt(sq_norm(cross(b - a, c - a)))
 
 
 @dataclass(frozen=True)

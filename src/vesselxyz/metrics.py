@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGT, DimensionMismatch, InvalidValue, TooFewPoints
-from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points
+from .geometry import MaterialVector, SegMask, XyzMap, build_pair_set, masked_points, sq_norm
 from .losses import scale_factor
 
 _DIAMETER_SLACK = 1.0 + 1e-9  # relative margin on max_dst's reach
@@ -62,17 +62,12 @@ class MaterialErrors:
     ior: float
 
 
-def _sq_norms(d: np.ndarray) -> np.ndarray:
-    """Squared norms over the last axis, summed as ((x*x + y*y) + z*z)."""
-    return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
-
-
 def _mae(p: np.ndarray, g: np.ndarray) -> float:
-    return float(np.mean(np.sqrt(_sq_norms(g - p))))
+    return float(np.mean(np.sqrt(sq_norm((g - p).T))))
 
 
 def _mad(g: np.ndarray) -> float:
-    return float(np.mean(np.sqrt(_sq_norms(g - np.mean(g, axis=0)))))
+    return float(np.mean(np.sqrt(sq_norm((g - np.mean(g, axis=0)).T))))
 
 
 def _r_squared(p: np.ndarray, g: np.ndarray) -> float:
@@ -120,11 +115,11 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
         return 0.0  # every point coincides
     best, i = 0.0, 0
     for _ in range(4):  # farthest-point hops
-        d2 = _sq_norms(g - g[i])
+        d2 = sq_norm((g - g[i]).T)
         i = int(np.argmax(d2))
         best = max(best, float(d2[i]))
 
-    r = np.sqrt(_sq_norms(g - (0.5 * lo + 0.5 * hi)))
+    r = np.sqrt(sq_norm((g - (0.5 * lo + 0.5 * hi)).T))
     order = np.argsort(-r)
     xyz, neg_r = g[order].T.copy(), -r[order]  # one row per axis; neg_r ascends for searchsorted
     k = 0
@@ -136,7 +131,7 @@ def max_dst(gt: XyzMap, mask: SegMask) -> float:
         rows = max(1, _DIAMETER_BLOCK // (end - k))
         d = xyz[:, k : k + rows, None] - xyz[:, None, k + 1 : end]
         d *= d
-        best = max(best, float(np.max((d[0] + d[1]) + d[2])))  # _sq_norms' order
+        best = max(best, float(np.max((d[0] + d[1]) + d[2])))  # sq_norm's order
         k += rows
     return float(np.sqrt(best))
 

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .errors import GenerationFailed, InvalidValue, MalformedDocument
-from .geometry import IOR_PHYSICAL_RANGE, MIN_FOCAL_PX, MaterialVector, PinholeCamera, TriMesh, frozen
+from .geometry import (IOR_PHYSICAL_RANGE, MIN_FOCAL_PX, MaterialVector, PinholeCamera, TriMesh,
+                       cross, frozen, rotate, sq_norm)
 
 _FILL_SALT = 11
 _MATERIAL_SALT = 12
@@ -400,21 +401,21 @@ def look_at_camera(eye, target, focal_px: float, resolution: int) -> PinholeCame
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - eye
-    norm = np.linalg.norm(forward)
+    norm = np.sqrt(sq_norm(forward))
     if norm < 1e-12:
         raise InvalidValue("eye and target coincide")
     forward = forward / norm
     upv = np.array([0.0, 1.0, 0.0])  # world up, unless the view is within ~2.6 deg of vertical
     if abs(float(forward[1])) > 0.999:
         upv = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, upv)
-    right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
-    rotation = np.stack([right, down, forward])
+    right = np.array(cross(forward, upv))
+    right = right / np.sqrt(sq_norm(right))
+    down = cross(forward, right)
+    rotation = np.array([right, down, forward])
     center = (resolution - 1) / 2.0
     return PinholeCamera(
         fx=focal_px, fy=focal_px, cx=center, cy=center, width=resolution, height=resolution,
-        rotation=rotation, translation=-rotation @ eye,
+        rotation=rotation, translation=-np.array(rotate(rotation, eye)),
     )
 
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from .bvh import cast_camera_rays
 from .errors import InvalidValue
-from .geometry import (
-    DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz, masked_points, valid_region,
-)
+from .geometry import (DepthMap, PinholeCamera, SegMask, XyzMap, depth_to_xyz, masked_points,
+                       rotate, sq_norm, valid_region)
 from .procgen import SceneRecord
 
 # Placeholders: perfbench/spans.py wraps these names, and nothing calls them.
@@ -64,11 +63,11 @@ def camera_rays(camera: PinholeCamera):
     """
     x = (np.arange(camera.width, dtype=np.float64) - camera.cx) / camera.fx
     y = ((np.arange(camera.height, dtype=np.float64) - camera.cy) / camera.fy)[:, None]
-    norm = np.sqrt((x * x + y * y) + 1.0)  # summed as norm(axis=-1) sums (x, y, 1)
+    norm = np.sqrt(sq_norm((x, y, 1.0)))
     unit = np.empty((3, norm.size))
     for row, axis in zip(unit, (x, y, 1.0)):
         np.divide(axis, norm, out=row.reshape(norm.shape))
-    dirs = np.matmul(unit.T, camera.rotation, out=np.empty_like(unit).T)  # row-wise R^T @ d
+    dirs = np.stack(rotate(camera.rotation.T, unit)).T
     return np.broadcast_to(camera.center, dirs.shape), dirs, unit[2]
 
 

@@ -432,14 +432,24 @@ def oracle_first_hit(mesh: TriMesh, origins, dirs):
 
 # ── naive oracles: renderer ──────────────────────────────────────────────
 
+def oracle_world_to_camera(camera: PinholeCamera, points) -> np.ndarray:
+    """Camera-frame coordinates of world ``points``: ``pts @ R.T + t``."""
+    return np.asarray(points, dtype=np.float64) @ camera.rotation.T + camera.translation
+
+
 def oracle_camera_rays(camera: PinholeCamera):
-    """``(origins, dirs, axial)`` from a meshgrid of pixel centers and np.linalg.norm."""
+    """``(origins, dirs, axial)`` from a meshgrid of pixel centers and np.linalg.norm.
+
+    Each direction is ``R.T @ unit`` summed in ``(x, y, z)`` order, as
+    ``geometry.rotate`` sums it, so no BLAS kernel enters the bits.
+    """
     uu, vv = np.meshgrid(np.arange(camera.width, dtype=np.float64),
                          np.arange(camera.height, dtype=np.float64))
     d_cam = np.stack([(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy,
                       np.ones_like(uu)], axis=-1).reshape(-1, 3)
     unit = d_cam / np.linalg.norm(d_cam, axis=1, keepdims=True)
-    dirs = unit @ camera.rotation
+    r = camera.rotation
+    dirs = (unit[:, :1] * r[0] + unit[:, 1:2] * r[1]) + unit[:, 2:] * r[2]
     return np.broadcast_to(camera.center, dirs.shape).copy(), dirs, unit[:, 2].copy()
 
 

@@ -25,7 +25,9 @@ from vesselxyz.bvh import (
 from vesselxyz.procgen import SceneConfig, assemble_scene
 from vesselxyz.renderer import camera_rays
 
-from conftest import oracle_first_hit, oracle_moller_trumbore, random_rotation
+from conftest import (
+    oracle_first_hit, oracle_moller_trumbore, oracle_world_to_camera, random_rotation,
+)
 
 X, Y, Z = np.eye(3)
 
@@ -340,7 +342,7 @@ def test_cast_covers_hits_of_planes_through_the_camera_center():
         if mesh is None:
             continue
         _, tri, _, _ = _assert_cast_equals_brute(mesh, cam)
-        p = cam.world_to_camera(mesh.vertices)
+        p = oracle_world_to_camera(cam, mesh.vertices)
         pu = (cam.fx * p[:, 0] / p[:, 2] + cam.cx)[mesh.triangles]
         hit = np.flatnonzero(tri >= 0)
         u = (hit % cam.width)[:, None]
@@ -363,7 +365,7 @@ def test_cast_equals_brute_force_at_full_size(seed, config):
     # ground.  The opening fan's triangles get their projected rows.
     scene = assemble_scene(seed, config)
     ground = scene.ground_plane.to_mesh()
-    z = scene.camera.world_to_camera(ground.vertices)[ground.triangles][..., 2]
+    z = oracle_world_to_camera(scene.camera, ground.vertices)[ground.triangles][..., 2]
     assert (z.min(axis=1) <= CAST_Z_EPS).any()
     for mesh in (ground, scene.opening):
         _, tri, _, _ = _assert_cast_equals_brute(mesh, scene.camera)

@@ -1,4 +1,7 @@
-"""Module layering: imports point down the module DAG, and scipy loads only for Chamfer."""
+"""Module layering: imports point down the module DAG, and scipy loads only for Chamfer.
+
+No product or 1-D norm in the package goes through BLAS either.
+"""
 
 import ast
 import json
@@ -79,6 +82,34 @@ def test_no_module_imports_a_private_name_of_another():
         if name.startswith("_")
     ]
     assert not private
+
+
+BLAS_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def _blas_sites(path: Path):
+    """``file:line what`` of every ``@``, BLAS-backed product call and axis-less ``linalg.norm``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield f"{path.name}:{node.lineno} @"
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr
+            if name in BLAS_CALLS:
+                yield f"{path.name}:{node.lineno} {name}"
+            elif (name == "norm" and isinstance(func, ast.Attribute)
+                  and ast.unparse(func.value).endswith("linalg")
+                  and not any(k.arg == "axis" for k in node.keywords)):
+                yield f"{path.name}:{node.lineno} linalg.norm without axis="
+
+
+def test_no_three_vector_arithmetic_goes_through_blas():
+    # OpenBLAS picks its kernel per CPU and sums in the kernel's order, so a
+    # product or 1-D norm through it can move artifact bytes between
+    # machines.  geometry's cross, sq_norm and rotate sum in a fixed order.
+    # np.linalg.det stays: it feeds only the rotation check's 1e-9 tolerance.
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _blas_sites(path)]
+    assert not sites
 
 
 # scipy serves only metrics.chamfer, which imports it on its first call.

@@ -32,6 +32,7 @@ from conftest import (
     oracle_content_mesh,
     oracle_opening_mesh,
     oracle_vessel_mesh,
+    oracle_world_to_camera,
     scene_violations,
     surface_area,
 )
@@ -374,7 +375,7 @@ class TestAssembleScene:
 
     def test_camera_looks_at_vessel(self):
         scene = assemble_scene(21)
-        target_cam = scene.camera.world_to_camera(scene.vessel.centroid())
+        target_cam = oracle_world_to_camera(scene.camera, scene.vessel.centroid())
         # the look-at target sits on the optical axis, ahead of the camera
         assert target_cam[2] > 0
         assert abs(target_cam[0]) < 1e-9
