@@ -16,6 +16,7 @@ scoring an object:
 
 from __future__ import annotations
 
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import InvalidValue, VesselXyzError
@@ -44,11 +45,12 @@ def evaluate_scene(manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilatio
     its row's ``k`` is that similarity's scale.  Dilations default to the
     ladder for the map size.
 
-    A row that cannot be scored is absent, and its ``missing`` holds why, in
-    this order: ``not-in-view`` (the GT mask is empty), ``no-file`` (no
-    prediction file), ``no-reference`` (another role's similarity, which
-    this role needs, could not be estimated) or ``unscorable`` (scoring, or
-    estimating the role's own similarity, raised a VesselXyzError).
+    A row that cannot be scored is absent, and its ``missing`` holds why:
+    ``no-file`` (no prediction file), ``no-reference`` (another role's
+    similarity, which this role needs, could not be estimated) or
+    ``unscorable`` (scoring, or estimating the role's own similarity, raised
+    a VesselXyzError).  An empty GT mask turns any of these into
+    ``not-in-view``; a row that scored stays present.
     """
     gt_dir, pred_dir = Path(gt_dir), Path(pred_dir)
     xyz = mode != "segmentation"
@@ -67,39 +69,31 @@ def evaluate_scene(manifest: SceneManifest, gt_dir, pred_dir, mode: str, dilatio
     transforms = {}  # reference role -> its similarity, when one could be estimated
     for ref in dict.fromkeys(refs.values()):
         if preds[ref] is not None:
-            try:
+            with suppress(VesselXyzError):
                 transforms[ref] = similarity_from_region(
                     preds[ref], gt_maps[ref], region(ref), dilations
                 )
-            except VesselXyzError:
-                pass
 
     rows = []
     for role in ROLES:
-        pred = preds[role]
-        transform = transforms.get(refs.get(role))
-        try:
-            if pred is None or (xyz and transform is None):
-                values = None
-            elif xyz:
-                mask = region(role)
-                report = evaluate_xyz(transform.apply(pred, mask), gt_maps[role], mask)
-                values = {**vars(report), "k": transform.k}
-            else:
-                values = vars(seg_eval(pred, gt_masks[role]))
-        except VesselXyzError:
-            values = None
-        row = {"seed": manifest.seed, "object": role}
-        if values is not None:
-            row.update({col: values[col] for col in COLUMNS[mode]})
-        elif not gt_masks[role].count:
-            row["missing"] = "not-in-view"
-        elif pred is None:
+        row, pred, ref = {"seed": manifest.seed, "object": role}, preds[role], refs.get(role)
+        if pred is None:
             row["missing"] = "no-file"
-        elif xyz and transform is None and refs[role] != role:
-            row["missing"] = "no-reference"
+        elif xyz and ref not in transforms:
+            row["missing"] = "unscorable" if ref == role else "no-reference"
         else:
-            row["missing"] = "unscorable"
+            try:
+                if xyz:
+                    mask, transform = region(role), transforms[ref]
+                    report = evaluate_xyz(transform.apply(pred, mask), gt_maps[role], mask)
+                    values = {**vars(report), "k": transform.k}
+                else:
+                    values = vars(seg_eval(pred, gt_masks[role]))
+                row.update({col: values[col] for col in COLUMNS[mode]})
+            except VesselXyzError:
+                row["missing"] = "unscorable"
+        if "missing" in row and not gt_masks[role].count:
+            row["missing"] = "not-in-view"
         rows.append(row)
     return rows
 

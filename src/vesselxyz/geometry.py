@@ -9,8 +9,11 @@ Conventions used throughout the package:
 * The camera frame is the standard computer-vision frame: X right, Y down,
   Z forward.  ``PinholeCamera.rotation/translation`` map world points into
   that frame.
-* Invalid pixels store a quiet-NaN sentinel that no operation reads.  The
-  map constructors write it; callers pass any values there.
+* Invalid pixels store a quiet-NaN sentinel.  The map constructors write
+  it; callers pass any values there.  Operations select pixels through
+  validity masks, with two readers of the sentinel itself:
+  :func:`pair_differences` detects an invalid endpoint by it, and
+  ``formats.write_pfm`` writes it as the XYZ file's sentinel.
 * An object's points are the pixels :func:`masked_points` selects.
 * 3-vector sums run through :func:`cross`, :func:`sq_norm` and :func:`rotate`
   in fixed ``(x, y, z)`` order, never through BLAS (its kernel varies by CPU).

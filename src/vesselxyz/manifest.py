@@ -8,7 +8,8 @@ the manifest's seed and config reproduces every artifact byte-for-byte.
 File naming is fixed so evaluation needs no configuration:
 ``<seed>_<role>_<kind>.<ext>`` with role in {vessel, content, opening} and
 kind in {depth, xyz, mask}; meshes are ``<seed>_<role>_mesh.obj`` and the
-manifest itself is ``<seed>_manifest.json``.
+manifest itself is ``<seed>_manifest.json``.  A manifest's ``files`` lists
+exactly these names for its seed, with every mesh or none.
 
 ``_FIELDS`` is the file's field list: each field's name, its writer and its
 checked reader, in file order.  Nested records are built by their own
@@ -50,6 +51,14 @@ _PROFILE_BOUNDS = {
 def artifact_name(seed: int, role: str, kind: str) -> str:
     ext = {"depth": "pfm", "xyz": "pfm", "mask": "pgm", "mesh": "obj"}[kind]
     return f"{seed}_{role}_{kind}.{ext}"
+
+
+def _artifact_files(seed: int, meshes: bool) -> dict:
+    """The ``files`` table of a scene: every role's depth, xyz and mask, then its mesh."""
+    keys = [(role, kind) for role in ROLES for kind in ("depth", "xyz", "mask")]
+    if meshes:
+        keys += [(role, "mesh") for role in ROLES]
+    return {f"{role}_{kind}": artifact_name(seed, role, kind) for role, kind in keys}
 
 
 def manifest_name(seed: int) -> str:
@@ -130,15 +139,18 @@ def _fraction(value) -> float:
     return float(value)
 
 
-def _files(value) -> dict:
+def _files(value, seed: int) -> dict:
+    """``value`` if it is the table ``emit_scene`` writes for ``seed``, with every mesh or none.
+
+    Every name in that table is bare, which keeps eval inside --gt and --pred.
+    """
     if not isinstance(value, dict):
         raise InvalidValue(f"expected a JSON object, got {type(value).__name__}")
-    # Every role's xyz and mask, then every entry: a bare name keeps eval inside --gt and --pred.
-    for key in (*(f"{role}_{kind}" for role in ROLES for kind in ("xyz", "mask")), *value):
-        name = value.get(key)
-        if type(name) is not str or not name.strip(".") or Path(name).name != name or "\0" in name:
-            raise InvalidValue(f"{key}: no bare file name, got {name!r}")
-    return dict(value)
+    want = _artifact_files(seed, any(key.endswith("_mesh") for key in value))
+    for key in dict.fromkeys([*want, *value]):
+        if value.get(key) != want.get(key):
+            raise InvalidValue(f"{key}: expected {want.get(key)!r}, got {value.get(key)!r}")
+    return want
 
 
 # The manifest's fields in file order, each as (name, to JSON, checked from JSON).
@@ -178,8 +190,8 @@ class SceneManifest:
         """Parse a manifest document; MalformedDocument names the bad field."""
         values = {}
         for name, _, parse in _FIELDS:
-            try:
-                values[name] = parse(d[name])
+            try:  # the file names depend on the seed, read before them
+                values[name] = parse(d[name], values["seed"]) if parse is _files else parse(d[name])
             except (
                 AttributeError, KeyError, OverflowError, TypeError, ValueError, VesselXyzError
             ) as e:
@@ -217,18 +229,13 @@ def emit_scene(seed: int, config: SceneConfig, out_dir, write_meshes: bool = Tru
     output = render_scene(scene)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = [
-        (role, kind, write, getattr(output, f"{role}_{kind}"))
-        for role in ROLES
-        for kind, write in (("depth", write_pfm), ("xyz", write_pfm), ("mask", write_pgm))
-    ]
-    if write_meshes:
-        artifacts += [(role, "mesh", write_obj, getattr(scene, role)) for role in ROLES]
-    files = {}
-    for role, kind, write, value in artifacts:
-        name = artifact_name(seed, role, kind)
-        write(out / name, value)
-        files[f"{role}_{kind}"] = name
+    files = _artifact_files(seed, write_meshes)
+    for key, name in files.items():
+        role, kind = key.split("_")
+        if kind == "mesh":
+            write_obj(out / name, getattr(scene, role))
+        else:
+            (write_pgm if kind == "mask" else write_pfm)(out / name, getattr(output, key))
 
     manifest = SceneManifest(
         FORMAT_VERSION, seed, config, scene.camera, scene.profile, scene.fill_fraction,

@@ -71,8 +71,8 @@ def _mad(g: np.ndarray) -> float:
 
 
 def _r_squared(p: np.ndarray, g: np.ndarray) -> float:
-    rss = float(np.sum(np.sum((g - p) ** 2, axis=-1)))
-    tss = float(np.sum(np.sum((g - np.mean(g, axis=0)) ** 2, axis=-1)))
+    rss = float(np.sum(sq_norm((g - p).T)))
+    tss = float(np.sum(sq_norm((g - np.mean(g, axis=0)).T)))
     if tss <= _TSS_FLOOR:
         raise DegenerateGT("all GT points coincide; TSS is zero")
     return 1.0 - rss / tss

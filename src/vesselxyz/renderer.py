@@ -155,7 +155,7 @@ def clean_depth(
     region = valid_region(mask, depth)
     pts = masked_points(depth_to_xyz(depth, camera), region)
     centroid = np.mean(pts, axis=0)
-    dist = np.sqrt(np.sum((pts - centroid) ** 2, axis=1))
+    dist = np.sqrt(sq_norm((pts - centroid).T))
     drop = np.zeros_like(region.values)
     drop[region.values] = dist > max_offset
     return DepthMap(depth.values, depth.valid & ~drop)

@@ -28,16 +28,8 @@ XYZ_COLUMNS = (
 )
 SEG_COLUMNS = ("iou", "precision", "recall")
 
-# columns shown as percentages in the text table
-_PERCENT_COLUMNS = {
-    "mae_over_mad",
-    "mae_over_maxdst",
-    "chamfer_over_mad",
-    "chamfer_over_maxdst",
-    "iou",
-    "precision",
-    "recall",
-}
+# columns shown as percentages in the text table: the ratios and every segmentation score
+_PERCENT_COLUMNS = {col for col in XYZ_COLUMNS if "_over_" in col} | set(SEG_COLUMNS)
 
 NOTES = "normalized columns are per-scene ratios; aggregates average those ratios"
 
@@ -60,58 +52,45 @@ class ReportDocument:
         means over present rows, computed overall and per object label.
         """
         present = [r for r in rows if not r.get("missing")]
-        groups = {"overall": present}
+        groups = {"overall": present} if present else {}
         for r in present:
             groups.setdefault(r["object"], []).append(r)
-        aggregates = {}
-        for name, grp in groups.items():
-            if not grp:
-                continue
-            aggregates[name] = {
-                col: float(np.mean(np.array([r[col] for r in grp], dtype=np.float64)))
-                for col in columns
-            }
+        aggregates = {
+            name: {col: float(np.mean(np.array([r[col] for r in grp], dtype=np.float64)))
+                   for col in columns}
+            for name, grp in groups.items()
+        }
         return cls(mode, tuple(columns), list(rows), aggregates)
 
+    def _table(self) -> list:
+        """(seed, object, missing, cells) per row and then per mean.
+
+        ``missing`` is "false" on a present row, and a cell is the column's
+        value as a float, or None on an absent row.
+        """
+        rows = [(str(r["seed"]), r["object"], r.get("missing") or "false",
+                 [None if r.get("missing") else float(r[col]) for col in self.columns])
+                for r in self.rows]
+        return rows + [("mean", name, "false", [agg[col] for col in self.columns])
+                       for name, agg in self.aggregates.items()]
+
     def to_csv(self) -> str:
-        header = ["seed", "object", "missing", *self.columns]
-        lines = [",".join(header)]
-        for r in self.rows:
-            if r.get("missing"):
-                cells = [str(r["seed"]), r["object"], r["missing"]] + [""] * len(self.columns)
-            else:
-                cells = [str(r["seed"]), r["object"], "false"] + [
-                    repr(float(r[c])) for c in self.columns
-                ]
-            lines.append(",".join(cells))
-        for name, agg in self.aggregates.items():
-            cells = ["mean", name, "false"] + [repr(agg[c]) for c in self.columns]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        lines = [("seed", "object", "missing", *self.columns)] + [
+            (seed, obj, missing, *("" if v is None else repr(v) for v in cells))
+            for seed, obj, missing, cells in self._table()
+        ]
+        return "".join(",".join(line) + "\n" for line in lines)
 
     def to_text(self) -> str:
         def fmt(col: str, value: float) -> str:
-            if col in _PERCENT_COLUMNS:
-                return f"{100.0 * value:.2f}%"
-            return f"{value:.4g}"
+            return f"{100.0 * value:.2f}%" if col in _PERCENT_COLUMNS else f"{value:.4g}"
 
-        header = ["seed", "object", *self.columns]
-        table = [header]
-        for r in self.rows:
-            if r.get("missing"):
-                table.append([str(r["seed"]), r["object"]] + [r["missing"]] * len(self.columns))
-            else:
-                table.append(
-                    [str(r["seed"]), r["object"]] + [fmt(c, r[c]) for c in self.columns]
-                )
-        table.append([""] * len(header))
-        for name, agg in self.aggregates.items():
-            table.append(["mean", name] + [fmt(c, agg[c]) for c in self.columns])
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = [
-            f"# mode: {self.mode} | tool: vesselxyz {__version__}",
-            f"# {NOTES}",
+        table = [["seed", "object", *self.columns]] + [
+            [seed, obj, *(missing if v is None else fmt(c, v) for c, v in zip(self.columns, cells))]
+            for seed, obj, missing, cells in self._table()
         ]
-        for row in table:
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
+        table.insert(1 + len(self.rows), [""] * len(table[0]))  # between the rows and the means
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = [f"# mode: {self.mode} | tool: vesselxyz {__version__}", f"# {NOTES}"]
+        lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in table]
         return "\n".join(lines) + "\n"

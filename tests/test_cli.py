@@ -46,7 +46,9 @@ def _small_xyz(size: int) -> vesselxyz.XyzMap:
 # Seed 2's absent objects and their reason codes per damaged prediction and
 # eval mode.  Vessel-scale aligns every object by the vessel's similarity, so
 # an unscorable vessel blocks all three rows there; content-scale aligns each
-# object by itself.
+# object by itself.  A hidden object's GT mask is empty, so its row reads
+# not-in-view whatever its prediction, but segmentation still scores a
+# prediction mask against it.
 _MODES = ("vessel-scale", "content-scale", "segmentation")
 
 
@@ -64,6 +66,8 @@ ABSENT_ROWS = {
     # constant XYZ maps leave the masks intact, so segmentation scores them
     "constant-vessel": {**_vessel("unscorable"), "segmentation": {}},
     "constant-content": {**dict.fromkeys(_MODES, {}), "content-scale": {"content": "unscorable"}},
+    "hidden-content": {**dict.fromkeys(_MODES, {"content": "not-in-view"}), "segmentation": {}},
+    "hidden-missing-content": dict.fromkeys(_MODES, {"content": "not-in-view"}),
 }
 
 
@@ -470,10 +474,28 @@ class TestRender:
         path = tmp_path / manifest_name(2)
         doc = json.loads((gt_batch / manifest_name(2)).read_text())
         doc["seed"] = 10**400  # a valid seed, but its artifact names pass the file-name limit
+        doc["files"] = {key: f"{10**400}{name[1:]}" for key, name in doc["files"].items()}
         path.write_text(json.dumps(doc))
         code = main(["render", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, name", [("vessel_mesh", None), ("vessel_xyz", "custom.pfm")],
+                             ids=["no-vessel-mesh", "renamed-vessel-xyz"])
+    def test_files_other_than_generates_are_data_error(self, gt_batch, tmp_path, capsys, key, name):
+        # render writes generate's file set, so a manifest listing another one is malformed
+        path = tmp_path / manifest_name(2)
+        doc = json.loads((gt_batch / manifest_name(2)).read_text())
+        if name is None:
+            del doc["files"][key]
+        else:
+            doc["files"][key] = name
+        path.write_text(json.dumps(doc))
+        code = main(["render", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and f"field 'files': {key}" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEval:
@@ -731,22 +753,26 @@ class TestEval:
     @pytest.mark.parametrize("cause", list(ABSENT_ROWS))
     def test_absent_rows_per_cause_and_mode(self, gt_batch, tmp_path, cause, mode):
         # every prediction is the GT copy except seed 2's damaged ones
-        pred = tmp_path / "pred"
+        gt, pred = gt_batch, tmp_path / "pred"
         shutil.copytree(gt_batch, pred)
         role = cause.split("-")[-1]
         stems = [f"2_{role}_xyz.pfm", f"2_{role}_xyz.valid.pgm", f"2_{role}_mask.pgm"]
-        if cause.startswith("missing"):
+        if cause.startswith("hidden"):  # the GT copy's mask of the object is all false
+            gt = tmp_path / "gt"
+            shutil.copytree(gt_batch, gt)
+            write_pgm(gt / stems[2], vesselxyz.SegMask(np.zeros((64, 64), bool)))
+        if "missing" in cause:
             for stem in stems:
                 (pred / stem).unlink()
         elif cause.startswith("wrong-size"):
             write_pfm(pred / stems[0], _small_xyz(32))
             write_pgm(pred / stems[2], vesselxyz.SegMask(np.ones((32, 32), bool)))
-        else:  # a constant XYZ map has no scale, so its similarity raises DegenerateScale
-            gt = read_xyz_pfm(gt_batch / stems[0])
-            write_pfm(pred / stems[0], vesselxyz.XyzMap(np.full_like(gt.coords, 0.5), gt.valid))
+        elif cause.startswith("constant"):  # no scale, so its similarity raises DegenerateScale
+            xyz = read_xyz_pfm(gt_batch / stems[0])
+            write_pfm(pred / stems[0], vesselxyz.XyzMap(np.full_like(xyz.coords, 0.5), xyz.valid))
         out = tmp_path / "report"
         code = main(
-            ["eval", "--gt", str(gt_batch), "--pred", str(pred), "--mode", mode, "--out", str(out)]
+            ["eval", "--gt", str(gt), "--pred", str(pred), "--mode", mode, "--out", str(out)]
         )
         assert code == EXIT_OK
         rows = [r.split(",") for r in (out / "report.csv").read_text().splitlines()[1:]]

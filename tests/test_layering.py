@@ -51,26 +51,40 @@ def _below(module: str) -> set:
 
 
 def _relative_imports(path: Path):
-    """(line, sibling module, imported names) of every ``from .module import ...``."""
+    """(line, sibling module, imported names) of every relative import.
+
+    ``from . import name`` imports the sibling module ``name``, with no names
+    from it.  ``__version__`` is the one other name allowed there; it yields
+    nothing, and any other name that is no module fails the DAG check.
+    """
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
-            if node.module is None:  # from . import __version__
+            if node.module is not None:
+                yield node.lineno, node.module.split(".")[0], [alias.name for alias in node.names]
                 continue
-            yield node.lineno, node.module.split(".")[0], [alias.name for alias in node.names]
+            for alias in node.names:
+                if alias.name != "__version__":
+                    yield node.lineno, alias.name, []
 
 
 def test_every_module_has_a_layer():
     assert {p.stem for p in SRC.glob("*.py")} == set(DEPENDS_ON)
 
 
+def _upward(path: Path) -> list:
+    """``file:line imports .target`` of every import not below the module in the DAG."""
+    return [f"{path.name}:{line} imports .{target}"
+            for line, target, _ in _relative_imports(path) if target not in _below(path.stem)]
+
+
 def test_imports_point_down_the_dag():
-    upward = [
-        f"{path.name}:{line} imports .{target}"
-        for path in sorted(SRC.glob("*.py"))
-        for line, target, _ in _relative_imports(path)
-        if target not in _below(path.stem)
-    ]
-    assert not upward
+    assert not [site for path in sorted(SRC.glob("*.py")) for site in _upward(path)]
+
+
+def test_bare_sibling_imports_are_checked_too(tmp_path):
+    lower = tmp_path / "geometry.py"
+    lower.write_text("from . import __version__\nfrom . import errors, metrics as m, typo\n")
+    assert _upward(lower) == ["geometry.py:2 imports .metrics", "geometry.py:2 imports .typo"]
 
 
 def test_no_module_imports_a_private_name_of_another():
